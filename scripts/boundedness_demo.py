@@ -6,7 +6,8 @@ Fourier modes for eps = 0.05 (see stability_scan.py), and the long run with
 exact transport stays far below the threshold M = 4 rho_bar ||u0||_{s+1}.
 The same run at lambda = 2 aborts on blow-up near t ~ 1.3.
 
-Takes a few minutes: the transport-resolving step at lambda = 20 is small.
+The transport-resolving step at lambda = 20 is small: 40744 steps, about
+80 s on 2 cores.
 
 Usage:
     python3 scripts/boundedness_demo.py [--lam 20] [--t-end 5.0]

@@ -87,6 +87,16 @@ class ValidationReport:
     def passed(self) -> bool:
         return self.subchar.passed
 
+    @property
+    def dissipative(self) -> bool:
+        """nu/tau above the squared maximum characteristic speed on the box.
+
+        Near equilibrium this is nu > tau*P'(rho_bar); where it fails the
+        acoustic modes grow at every eps (README stability notes).  It is
+        informational and not part of `passed`.
+        """
+        return self.params.nu / self.params.tau > self.subchar.max_char_speed ** 2
+
     def lines(self) -> list[str]:
         return [
             f"a = {self.params.a:.6g}  (nu/(2*lambda^2*tau), must lie in (0, 0.25))",
@@ -97,6 +107,9 @@ class ValidationReport:
             f"m5 coefficient 1-4a = {self.subchar.m5_coefficient:.6g}",
             "min eigenvalue of a*I +/- A'/(2 lambda) = "
             f"{self.subchar.min_maxwellian_jacobian_eig:.6g} (informational)",
+            f"diffusive condition nu/tau = {self.params.nu / self.params.tau:.6g}"
+            f" vs (max characteristic speed)^2 = {self.subchar.max_char_speed ** 2:.6g}"
+            f": {'OK' if self.dissipative else 'VIOLATED'} (informational)",
             f"dt policy: relaxation bound {self.dt_relax:.6g}, "
             f"transport bound {self.dt_transp:.6g}, dt = {self.dt:.6g}",
         ]

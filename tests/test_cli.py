@@ -30,6 +30,10 @@ def test_validate_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "a = 0.00125" in out
     assert "PASS" in out
+    # lambda = 2, tau = 1, nu = 0.01 is not dissipative; the line only informs
+    assert ("diffusive condition nu/tau = 0.01 vs (max characteristic speed)^2 = 1.49988: "
+            "VIOLATED") in out
+    assert "validation OK" in out
 
 
 def test_validate_constraint_violation(tmp_path, capsys):

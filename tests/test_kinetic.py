@@ -75,6 +75,44 @@ def test_transport_preserves_means(seed, dt):
         assert np.max(np.abs(before - after)) < 1e-13
 
 
+def reference_spectral_transport(state, dt):
+    """The 2D complex-transform formula that the 1D real transforms replace."""
+    grid, p = state.grid, state.params
+    s = p.lam * dt / p.epsilon
+    F = np.fft.fft2(state.f, axes=(-2, -1))
+    px = np.exp(-1j * grid.k1d * s)[:, None]
+    py = np.exp(-1j * grid.k1d * s)[None, :]
+    F[0] *= px
+    F[1] *= py
+    F[2] *= np.conj(px)
+    F[3] *= np.conj(py)
+    return np.real(np.fft.ifft2(F, axes=(-2, -1)))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_spectral_transport_nyquist_mode(n):
+    # energy in the k = n/2 mode along both axes and a shift between grid points
+    g = Grid(n)
+    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+    nyquist = np.cos(0.5 * n * g.x) + 0.5 * np.cos(0.5 * n * g.y) + np.cos(0.5 * n * (g.x + g.y))
+    f = random_state(g, p, 5).f + 0.1 * nyquist
+    state = KineticState(g, p, f)
+    s = 0.37 * g.dx
+    dt = s * p.epsilon / p.lam
+    moved = transport_step(state, dt)
+    assert np.max(np.abs(moved.f - reference_spectral_transport(state, dt))) < 1e-13
+    assert np.array_equal(moved.f[4], f[4])
+    # a pure Nyquist field cannot move between grid points: it is scaled by cos(k s)
+    pure = np.zeros_like(f)
+    pure[:, 0] = np.cos(0.5 * n * g.x)
+    pure[:, 1] = np.cos(0.5 * n * g.y)
+    out = transport_step(KineticState(g, p, pure), dt).f
+    scale = np.cos(0.5 * n * s)
+    assert np.max(np.abs(out[0, 0] - scale * pure[0, 0])) < 1e-13
+    assert np.max(np.abs(out[1, 1] - scale * pure[1, 1])) < 1e-13
+    assert np.max(np.abs(out[0, 1] - pure[0, 1])) < 1e-13  # constant along x
+
+
 def test_upwind_cfl_violation(grid32, params_default):
     st0 = random_state(grid32, params_default, 1)
     dt_bad = 1.5 * params_default.epsilon * grid32.dx / params_default.lam
@@ -194,6 +232,56 @@ def test_run_record_callback_cadence(grid32, params_default):
     assert times[-1] == pytest.approx(0.05, rel=1e-9)
     _, expected = step_times(cfg, params_default, grid32.dx)
     assert list(times) == pytest.approx(expected)
+
+
+def test_time_grid_partial_final_step():
+    # 0.095 / 0.01: nine full steps and a half step; 4 does not divide 10
+    g = Grid(16)
+    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+    cfg = SolverConfig(t_end=0.095, dt=0.01, record_every=4)
+    all_times, recorded = step_times(cfg, p, g.dx)
+    assert len(all_times) == 10
+    assert all_times[-1] == pytest.approx(0.095, rel=1e-12)
+    assert recorded == [0.0, all_times[3], all_times[7], all_times[9]]
+    seen = []
+    result = run(equilibrium_state(g, p), cfg,
+                 on_record=lambda t, s, step: seen.append((step, t)))
+    assert seen == list(zip([0, 4, 8, 10], recorded))
+    assert [r.t for r in result.reports] == all_times
+    assert [r.dt for r in result.reports] == [0.01] * 9 + [pytest.approx(0.005)]
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("mode", ["spectral", "upwind"])
+def test_run_matches_strang_step_loop(mode, record_every):
+    # the merged half-relaxations and 1D transforms change only round-off
+    g = Grid(32)
+    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+    tg = taylor_green_state(g, p)
+    noise = np.stack([np.stack([random_field(100 + 3 * i + c, g.n) for c in range(3)])
+                      for i in range(5)])
+    st0 = KineticState(g, p, tg.f + 1e-3 * noise)
+    f0 = st0.f.copy()
+    cfg = SolverConfig(t_end=0.11, transport_mode=mode, record_every=record_every)
+    recorded = {}
+    result = run(st0, cfg, on_record=lambda t, s, step: recorded.update(
+        {step: (s, s.f.copy())}))
+
+    dts = [r.dt for r in result.reports]
+    assert len(dts) == 23 and dts[-1] < dts[0]  # partial final step
+    assert sorted(recorded) == sorted({0, 23} | set(range(0, 23, record_every)))
+    ref = {0: st0}
+    state = st0
+    for step, dt in enumerate(dts, start=1):
+        state = strang_step(state, dt, mode)
+        ref[step] = state
+    assert np.max(np.abs(result.state.f - state.f)) <= 1e-12
+    for step, (rec, _) in recorded.items():
+        assert np.max(np.abs(rec.f - ref[step].f)) <= 1e-12, step
+    # no state handed out is written to afterwards
+    assert np.array_equal(st0.f, f0)
+    for rec, f_at_record in recorded.values():
+        assert np.array_equal(rec.f, f_at_record)
 
 
 def test_run_aborts_on_high_wavenumber_instability():
