@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from vbgk import driver
+from vbgk import driver, kinetic
 from vbgk.config import RunConfig
 
 
@@ -40,8 +40,9 @@ def main():
     threshold = 4.0 * cfg.rho_bar * out.u0_norm_s1
     if out.completed:
         sup = max(r.sup_bound_functional for r in out.records)
-        print(f"completed t_end = {cfg.t_end:g} in {wall:.0f}s "
-              f"({len(out.reports)} steps)")
+        times, _ = kinetic.step_times(driver.solver_config(cfg), out.params,
+                                      driver.build_grid(cfg).dx)
+        print(f"completed t_end = {cfg.t_end:g} in {wall:.0f}s ({len(times)} steps)")
         print(f"sup_t (|rho - rho_bar|_inf / eps + |rho u|_inf) = {sup:.4f}"
               f"  vs  M = {threshold:.2f}")
         return 0

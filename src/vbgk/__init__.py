@@ -27,9 +27,7 @@ from .grid import (
 )
 from .kinetic import (
     KineticState,
-    RunResult,
     SolverConfig,
-    StepReport,
     relaxation_step,
     run,
     strang_step,

@@ -3,11 +3,9 @@
     vbgk validate  --config PATH
     vbgk run       --config PATH [--out DIR]
     vbgk sweep     --config PATH [--epsilons 0.2,0.1,0.05,0.025] [--out DIR]
-                                 [--synthetic-errors SLOPE,COEFF]
     vbgk reference --config PATH [--out DIR]
 
 Exit codes: 0 ok, 1 parse error, 2 constraint violation, 3 blow-up.
-VBGK_THREADS caps the sweep worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import diagnostics as diag
 from . import driver
 from .config import parse_config
 from .errors import (
@@ -79,23 +76,6 @@ def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     epsilons = _parse_epsilons(args.epsilons)
     out_dir = _out_dir(args, cfg)
-
-    if args.synthetic_errors:
-        # fitter identity check: inject errors coeff * eps^slope, no simulation
-        try:
-            slope, coeff = (float(v) for v in args.synthetic_errors.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"--synthetic-errors expects SLOPE,COEFF, got {args.synthetic_errors!r}", 0)
-        eps = sorted(epsilons, reverse=True)
-        fit = diag.fit_rate(eps, [coeff * e ** slope for e in eps])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rows = ["epsilon,error"] + [
-            f"{driver.fmt(e)},{driver.fmt(coeff * e ** slope)}" for e in eps]
-        (out_dir / "study.csv").write_text("\n".join(rows) + "\n")
-        print(f"synthetic slope = {fit.slope:.12g} (target {slope:g})")
-        return EXIT_OK
-
     sweep = driver.run_sweep(cfg, epsilons, out_dir)
     for name, fit in sweep.fits.items():
         print(f"{name}: slope {fit.slope:.4f} residual {fit.residual:.3e}")
@@ -129,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         if name == "sweep":
             p.add_argument("--epsilons", default="0.2,0.1,0.05,0.025")
-            p.add_argument("--synthetic-errors", default=None)
         p.set_defaults(fn=fn)
     return parser
 

@@ -27,7 +27,6 @@ from .model import (
     KineticState,
     ModelParams,
     entropy_density,
-    entropy_eta,
     entropy_gradient,
     flux,
 )
@@ -182,7 +181,6 @@ class DiagnosticsRecord:
     dev_h: float
     dev_m: float
     dev_xi: float
-    eta: float
     eta_surrogate: float
     rho_min: float
     rho_max: float
@@ -193,13 +191,6 @@ class DiagnosticsRecord:
     ref_pair_cos2x: float
     ref_pair_cos2y: float
     ref_pair_sinxsiny: float
-
-    def finite(self) -> bool:
-        return all(np.isfinite(v) for v in (
-            self.e0, self.es, self.dev_k, self.dev_h, self.dev_m, self.dev_xi,
-            self.eta, self.eta_surrogate, self.rho_min, self.rho_max,
-            self.sup_bound_functional,
-        ))
 
 
 def compute_record(state: KineticState, ref: NsState, ref_pressure: np.ndarray,
@@ -225,7 +216,6 @@ def compute_record(state: KineticState, ref: NsState, ref_pressure: np.ndarray,
         dev_h=dev_h,
         dev_m=dev_m,
         dev_xi=dev_xi,
-        eta=entropy_eta(rv.w, p),
         eta_surrogate=relative_entropy_surrogate(rv.w, w_ref, p),
         rho_min=float(np.min(rho)),
         rho_max=float(np.max(rho)),

@@ -6,8 +6,6 @@ and byte-identical reruns can be asserted.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,15 +138,15 @@ class ReferenceTrajectory:
     """Reference flow evaluated at increasing times.
 
     Taylor-Green data uses the closed form (zero reference error); file-based
-    data advances the pseudo-spectral solver between requested times.
+    data advances the pseudo-spectral solver from u0, the initial velocity
+    (2, n, n) the caller has read, between requested times.
     """
 
-    def __init__(self, cfg: RunConfig, grid: Grid):
+    def __init__(self, cfg: RunConfig, grid: Grid, u0: np.ndarray):
         self._analytic = cfg.initial_data in ("taylor_green", "zero")
         self._cfg = cfg
         self._grid = grid
         if not self._analytic:
-            u0 = initial_velocity(cfg, grid)
             self._state = navier_stokes.NsState(
                 grid=grid, u1=u0[0], u2=u0[1], t=0.0, nu=cfg.nu)
             u_max = max(float(np.max(np.abs(u0))), 1e-8)
@@ -171,7 +169,6 @@ class SimulationOutput:
     cfg: RunConfig
     params: ModelParams
     records: list[diag.DiagnosticsRecord]
-    reports: list[kinetic.StepReport]
     final_state: model.KineticState | None
     error: Exception | None
     u0_norm_s1: float
@@ -208,7 +205,7 @@ def run_simulation(cfg: RunConfig, require_valid: bool = True,
     grid = build_grid(cfg)
     u0 = initial_velocity(cfg, grid)
     state0 = model.initial_kinetic_state(grid, u0, params)
-    reference = ReferenceTrajectory(cfg, grid)
+    reference = ReferenceTrajectory(cfg, grid, u0)
     u0_norm_s1 = sobolev_norm(grid, u0, cfg.s + 1.0)
 
     records: list[diag.DiagnosticsRecord] = []
@@ -226,20 +223,14 @@ def run_simulation(cfg: RunConfig, require_valid: bool = True,
     scfg = solver_config(cfg, debug_checks)
     error = None
     final_state = None
-    reports: list[kinetic.StepReport] = []
     try:
-        result = kinetic.run(state0, scfg, on_record)
-        final_state = result.state
-        reports = result.reports
+        final_state = kinetic.run(state0, scfg, on_record)
     except (BlowupDetected, NonPositiveDensity) as exc:
         error = exc
-        if isinstance(exc, BlowupDetected):
-            reports = exc.reports
     return SimulationOutput(
         cfg=cfg,
         params=params,
         records=records,
-        reports=reports,
         final_state=final_state,
         error=error,
         u0_norm_s1=u0_norm_s1,
@@ -296,24 +287,8 @@ def _study_row(eps: float, output: SimulationOutput) -> str:
     ))
 
 
-def worker_count(n_jobs: int) -> int:
-    env = os.environ.get("VBGK_THREADS", "").strip()
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"VBGK_THREADS must be an integer, got {env!r}", 0) from None
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
 def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
-    """One simulation per epsilon (workers capped by VBGK_THREADS), rate fits.
-
-    Results are assembled in decreasing-epsilon order regardless of worker
-    scheduling, so output files do not depend on parallelism.
-    """
+    """One simulation per epsilon, run in decreasing-epsilon order, then rate fits."""
     epsilons = sorted({float(e) for e in epsilons}, reverse=True)
     if len(epsilons) < 3:
         raise ConfigError(f"sweep needs >= 3 epsilons, got {len(epsilons)}", 0)
@@ -324,16 +299,8 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
     for sub in configs.values():
         validate(sub)
 
-    def job(eps: float) -> SimulationOutput:
-        return run_simulation(configs[eps])
-
-    runs: dict[float, SimulationOutput] = {}
+    runs = {eps: run_simulation(configs[eps]) for eps in epsilons}
     failures: dict[float, str] = {}
-    with ThreadPoolExecutor(max_workers=worker_count(len(epsilons))) as pool:
-        futures = {eps: pool.submit(job, eps) for eps in epsilons}
-        for eps in epsilons:
-            runs[eps] = futures[eps].result()
-
     for eps in epsilons:
         sub_dir = out_dir / f"eps_{eps:g}"
         sub_dir.mkdir(parents=True, exist_ok=True)
@@ -400,7 +367,7 @@ def reference_to_files(cfg: RunConfig, out_dir) -> list[float]:
     params = build_params(cfg)
     grid = build_grid(cfg)
     _, times = kinetic.step_times(solver_config(cfg), params, grid.dx)
-    reference = ReferenceTrajectory(cfg, grid)
+    reference = ReferenceTrajectory(cfg, grid, initial_velocity(cfg, grid))
     rows = ["t,energy"]
     for i, t in enumerate(times):
         state, p = reference.at(t)

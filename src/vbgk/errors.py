@@ -54,11 +54,10 @@ class ConfigError(VbgkError):
 class BlowupDetected(VbgkError):
     """Simulation aborted on NaN/Inf or lost density positivity.
 
-    Carries the last time at which the state was still valid plus the
-    per-step reports collected so far, so callers can flush partial output.
+    Carries the last time at which the state was still valid, so callers can
+    flush partial output.
     """
 
-    def __init__(self, message, t_last_good, reports=None):
+    def __init__(self, message, t_last_good):
         self.t_last_good = t_last_good
-        self.reports = reports if reports is not None else []
         super().__init__(f"{message} (last good time t={t_last_good:.6g})")

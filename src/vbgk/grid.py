@@ -36,10 +36,6 @@ class Grid:
             raise ValueError(f"grid size must be an even integer >= 8, got {self.n}")
 
     @property
-    def length(self) -> float:
-        return TWO_PI
-
-    @property
     def dx(self) -> float:
         return TWO_PI / self.n
 

@@ -38,7 +38,7 @@ manifold need a small c_relax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,28 +82,6 @@ class SolverConfig:
             self.c_relax * params.relaxation_time,
             self.c_transp * params.epsilon * dx / params.lam,
         )
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """Health of the state after one step of run().
-
-    The values are taken after the step's transport, before its deferred
-    half-relaxation; min_density is the same at both points, because
-    relaxation conserves w.
-    """
-
-    t: float
-    dt: float
-    min_density: float
-    max_abs_f: float
-    nan_flag: bool
-
-
-@dataclass(frozen=True)
-class RunResult:
-    state: KineticState
-    reports: list[StepReport] = field(default_factory=list)
 
 
 _NONPOSITIVE = "projected density non-positive before relaxation: min = {:.6g}"
@@ -191,19 +169,6 @@ def strang_step(state: KineticState, dt: float, mode: str = "spectral",
     return relaxation_step(state, half, debug_check)
 
 
-def _step_report(f: np.ndarray, w: np.ndarray, t: float, dt: float) -> StepReport:
-    # NaN and inf propagate through the maximum, so one reduction gives both
-    max_abs_f = float(np.max(np.abs(f)))
-    finite = bool(np.isfinite(max_abs_f))
-    return StepReport(
-        t=t,
-        dt=dt,
-        min_density=float(np.min(w[0])),
-        max_abs_f=max_abs_f if finite else float("nan"),
-        nan_flag=not finite,
-    )
-
-
 def _time_grid(cfg: SolverConfig, dt_base: float):
     """(step, t, dt, is_record) after each step: the one time loop of the module.
 
@@ -220,19 +185,19 @@ def _time_grid(cfg: SolverConfig, dt_base: float):
         yield step, t, dt, final or step % cfg.record_every == 0
 
 
-def run(state: KineticState, cfg: SolverConfig, on_record=None) -> RunResult:
-    """Advance to cfg.t_end, aborting on NaN or loss of density positivity.
+def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
+    """Advance to cfg.t_end and return the final state.
 
-    on_record(t, state, step_index) fires on the initial state, every
-    cfg.record_every-th step, and on the final step.  Neither the input state
-    nor any state handed to on_record is modified afterwards.
+    Aborts with BlowupDetected on NaN or inf, or on loss of density
+    positivity.  on_record(t, state, step_index) fires on the initial state,
+    every cfg.record_every-th step, and on the final step.  Neither the input
+    state nor any state handed to on_record is modified afterwards.
 
     The result equals a loop of strang_step up to round-off; the merged
     half-relaxations are described in the module docstring.
     """
     if on_record is not None:
         on_record(0.0, state, 0)
-    reports: list[StepReport] = []
     w = state.w()
     t_prev = 0.0
     owed = 0.0  # closing half-relaxation deferred from the previous step
@@ -240,16 +205,16 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> RunResult:
         try:
             state = relaxation_step(state, owed + 0.5 * dt, cfg.debug_checks, w=w)
         except NonPositiveDensity as exc:
-            raise BlowupDetected(str(exc), t_prev, reports) from exc
+            raise BlowupDetected(str(exc), t_prev) from exc
         state = transport_step(state, dt, cfg.transport_mode)
         w = state.w()
-        report = _step_report(state.f, w, t, dt)
         # NaN compares false, so a NaN density reaches the finiteness check
-        if report.min_density <= 0.0:
-            raise BlowupDetected(_NONPOSITIVE.format(report.min_density), t_prev, reports)
-        if report.nan_flag:
-            raise BlowupDetected("non-finite values in kinetic state", t_prev, reports)
-        reports.append(report)
+        rho_min = np.min(w[0])
+        if rho_min <= 0.0:
+            raise BlowupDetected(_NONPOSITIVE.format(rho_min), t_prev)
+        # NaN and inf propagate through the maximum, so one reduction finds both
+        if not np.isfinite(np.max(np.abs(state.f))):
+            raise BlowupDetected("non-finite values in kinetic state", t_prev)
         owed = 0.5 * dt
         if is_record:
             state = relaxation_step(state, owed, cfg.debug_checks, w=w)
@@ -257,7 +222,7 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> RunResult:
             if on_record is not None:
                 on_record(t, state, step)
         t_prev = t
-    return RunResult(state=state, reports=reports)
+    return state
 
 
 def step_times(cfg: SolverConfig, params, dx: float) -> tuple[list[float], list[float]]:

@@ -116,8 +116,14 @@ def maxwellians(w: np.ndarray, params: ModelParams) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     a = params.a
     half = 1.0 / (2.0 * params.lam)
-    a1 = flux(1, w, params) * half
-    a2 = flux(2, w, params) * half
+    # flux(1, ...) and flux(2, ...) written out with one pressure evaluation
+    # (and one density check); the result equals the flux-based stack bit
+    # for bit
+    rho, q1, q2 = w[0], w[1], w[2]
+    p = pressure(rho, params)
+    q1q2 = q1 * q2 / rho
+    a1 = np.stack([q1, q1 * q1 / rho + p, q1q2]) * half
+    a2 = np.stack([q2, q1q2, q2 * q2 / rho + p]) * half
     aw = a * w
     return np.stack([aw + a1, aw + a2, aw - a1, aw - a2, (1.0 - 4.0 * a) * w])
 

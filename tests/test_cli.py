@@ -135,15 +135,6 @@ def test_file_initial_data_round_trip(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
-def test_sweep_synthetic_fitter_identity(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BASE)
-    code = main(["sweep", "--config", cfg, "--epsilons", "0.2,0.1,0.05,0.025",
-                 "--synthetic-errors", "0.5,2.0", "--out", str(tmp_path / "sw")])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "synthetic slope = 0.5" in out
-
-
 def test_sweep_small_real_study(tmp_path):
     text = BASE + "transport_mode = upwind\n"
     cfg = write_cfg(tmp_path, text)

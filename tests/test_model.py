@@ -134,6 +134,20 @@ def test_maxwellians_at_background(params_default):
     assert m[4] == pytest.approx([0.995, 0.0, 0.0], abs=1e-15)
 
 
+def test_maxwellians_equal_flux_stack(params_default):
+    # one pressure evaluation must give exactly the flux-based formula
+    w = admissible_w(7, 64).reshape(3, 8, 8)
+    a, half = params_default.a, 1.0 / (2.0 * params_default.lam)
+    a1 = flux(1, w, params_default) * half
+    a2 = flux(2, w, params_default) * half
+    expected = np.stack([a * w + a1, a * w + a2, a * w - a1, a * w - a2,
+                         (1.0 - 4.0 * a) * w])
+    assert np.array_equal(maxwellians(w, params_default), expected)
+    w[0, 3, 5] = np.nan
+    with pytest.raises(NonPositiveDensity, match="non-finite"):
+        maxwellians(w, params_default)
+
+
 @given(seed=st.integers(0, 2 ** 31))
 def test_compatibility_identities(seed, params_default):
     w = admissible_w(seed, 16)
