@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
 """Linear stability scan of the kinetic model about the uniform equilibrium.
 
-For each Fourier mode k the linearized system (transport at speeds
-+/- lambda/eps plus relaxation at rate 1/(tau eps^2) toward the linearized
-Maxwellians) is a 15x15 constant-coefficient ODE.  This script prints the
-maximal real part of its spectrum over a wavenumber range, for a grid of
-(epsilon, lambda) values, plus the spectral radius of one Strang cycle at
-the automatic time step.
+For a grid of (epsilon, lambda) values this prints the maximal real part of
+the spectrum of the 15x15 linearized generator (vbgk.stability) over the
+wavenumbers up to --kmax, plus the spectral radius of one Strang cycle at the
+automatic time step over all modes of an --n grid.
 
 Positive rates mean the model itself (not the scheme) has growing modes.
 For |k| lambda tau eps << 1 the acoustic modes change at rate
@@ -26,62 +24,11 @@ import argparse
 
 import numpy as np
 
-A1P = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], float)
-A2P = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], float)
-SPEEDS = [(1, 0), (0, 1), (-1, 0), (0, -1), (0, 0)]
-
-
-def linearized_blocks(lam, nu, tau):
-    a = nu / (2 * lam ** 2 * tau)
-    eye = np.eye(3)
-    blocks = [a * eye + A1P / (2 * lam), a * eye + A2P / (2 * lam),
-              a * eye - A1P / (2 * lam), a * eye - A2P / (2 * lam),
-              (1 - 4 * a) * eye]
-    proj = np.zeros((15, 15))
-    for i in range(5):
-        for j in range(5):
-            proj[3 * i:3 * i + 3, 3 * j:3 * j + 3] = blocks[i]
-    return proj
-
-
-def generator(eps, lam, nu, tau, k1, k2):
-    proj = linearized_blocks(lam, nu, tau)
-    L = (proj - np.eye(15)).astype(complex) / (tau * eps ** 2)
-    for i, (c1, c2) in enumerate(SPEEDS):
-        idx = slice(3 * i, 3 * i + 3)
-        L[idx, idx] -= 1j * (k1 * c1 + k2 * c2) * lam / eps * np.eye(3)
-    return L
-
-
-def max_growth(eps, lam, nu, tau, kmax):
-    worst, warg = -np.inf, (0, 0)
-    for k1 in range(0, kmax + 1):
-        for k2 in range(0, k1 + 1):
-            if k1 == 0 and k2 == 0:
-                continue
-            m = float(np.max(np.linalg.eigvals(generator(eps, lam, nu, tau, k1, k2)).real))
-            if m > worst:
-                worst, warg = m, (k1, k2)
-    return worst, warg
-
-
-def strang_radius(eps, lam, nu, tau, n, c_relax=1.0, c_transp=0.5):
-    dx = 2 * np.pi / n
-    dt = min(c_relax * tau * eps ** 2, c_transp * eps * dx / lam)
-    proj = linearized_blocks(lam, nu, tau)
-    decay = np.exp(-dt / (2 * tau * eps ** 2))
-    relax_half = proj + decay * (np.eye(15) - proj)
-    worst, warg = 0.0, (0, 0)
-    for k1 in range(-n // 2, n // 2 + 1, 2):
-        for k2 in range(0, n // 2 + 1, 2):
-            transport = np.zeros((15, 15), complex)
-            for i, (c1, c2) in enumerate(SPEEDS):
-                idx = slice(3 * i, 3 * i + 3)
-                transport[idx, idx] = np.exp(-1j * (k1 * c1 + k2 * c2) * lam * dt / eps) * np.eye(3)
-            radius = float(np.max(np.abs(np.linalg.eigvals(relax_half @ transport @ relax_half))))
-            if radius > worst:
-                worst, warg = radius, (k1, k2)
-    return worst, warg, dt
+from vbgk import stability
+from vbgk.errors import ConstraintViolation
+from vbgk.grid import Grid
+from vbgk.kinetic import SolverConfig
+from vbgk.model import make_params
 
 
 def main():
@@ -97,21 +44,27 @@ def main():
     epsilons = [float(v) for v in args.epsilons.split(",")]
     lambdas = [float(v) for v in args.lambdas.split(",")]
 
+    def params(eps, lam):
+        return make_params(eps, args.tau, lam, args.nu, 1.0)
+
     print("max Re(eig) of the linearized generator over k (positive = growing):")
     for lam in lambdas:
-        a = args.nu / (2 * lam ** 2 * args.tau)
-        if not 0 < a < 0.25:
-            print(f"  lambda = {lam:g}: invalid (a = {a:.3g})")
+        try:
+            rates = [stability.max_growth(params(eps, lam), args.kmax) for eps in epsilons]
+        except ConstraintViolation as exc:
+            print(f"  lambda = {lam:g}: invalid ({exc})")
             continue
-        row = []
-        for eps in epsilons:
-            g, k = max_growth(eps, lam, args.nu, args.tau, args.kmax)
-            row.append(f"eps={eps:g}: {g:+8.3f}/s @k={k}")
-        print(f"  lambda = {lam:<4g} " + "   ".join(row))
+        print(f"  lambda = {lam:<4g} " + "   ".join(
+            f"eps={eps:g}: {g:+8.3f}/s @k={k}" for eps, (g, k) in zip(epsilons, rates)))
 
     print(f"\nper-step spectral radius of the Strang cycle (n = {args.n}, auto dt):")
+    grid, cfg = Grid(args.n), SolverConfig(t_end=1.0)
     for eps in epsilons:
-        r, k, dt = strang_radius(eps, lambdas[0], args.nu, args.tau, args.n)
+        try:
+            r, k, dt = stability.strang_radius(params(eps, lambdas[0]), grid, cfg)
+        except ConstraintViolation as exc:
+            print(f"  lambda = {lambdas[0]:g} eps = {eps:g}: invalid ({exc})")
+            continue
         print(f"  lambda = {lambdas[0]:g} eps = {eps:<7g} dt = {dt:.3e}  "
               f"radius = {r:.6f} @k={k}  (log-rate {np.log(max(r, 1.0)) / dt:+.2f}/s)")
 

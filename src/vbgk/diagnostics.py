@@ -79,10 +79,6 @@ def macro_fields(state: KineticState) -> tuple[np.ndarray, np.ndarray]:
     return rho, u
 
 
-def _hs_difference(grid, field_a, field_b, s):
-    return gridmod.sobolev_norm(grid, np.asarray(field_a) - np.asarray(field_b), s)
-
-
 def error_functionals(state: KineticState, ref: NsState,
                       s_prime: float) -> tuple[float, float]:
     """(e0, es) against a reference velocity field on the same grid."""

@@ -44,7 +44,7 @@ def build_params(cfg: RunConfig) -> ModelParams:
     return model.make_params(cfg.epsilon, cfg.tau, cfg.lam, cfg.nu, cfg.rho_bar)
 
 
-def solver_config(cfg: RunConfig, debug_checks: bool = False) -> kinetic.SolverConfig:
+def solver_config(cfg: RunConfig) -> kinetic.SolverConfig:
     return kinetic.SolverConfig(
         t_end=cfg.t_end,
         dt=cfg.dt if cfg.dt_policy == "fixed" else None,
@@ -52,7 +52,6 @@ def solver_config(cfg: RunConfig, debug_checks: bool = False) -> kinetic.SolverC
         c_transp=cfg.c_transp,
         transport_mode=cfg.transport_mode,
         record_every=cfg.record_every,
-        debug_checks=debug_checks,
     )
 
 
@@ -74,12 +73,15 @@ def initial_velocity(cfg: RunConfig, grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Checks of one config, with the grid and initial velocity u0 they read."""
+
     params: ModelParams
+    grid: Grid
+    u0: np.ndarray
     subchar: model.SubcharacteristicReport
     dt_relax: float
     dt_transp: float
     dt: float
-    u0_max: float
 
     @property
     def passed(self) -> bool:
@@ -101,7 +103,7 @@ class ValidationReport:
             f"subcharacteristic: {'PASS' if self.subchar.passed else 'FAIL'}"
             f"  speed margin = {self.subchar.speed_margin:.6g}"
             f"  (max characteristic speed {self.subchar.max_char_speed:.6g}"
-            f" vs lambda {self.subchar.lam:.6g}, {self.subchar.n_samples} samples)",
+            f" vs lambda {self.params.lam:.6g}, {self.subchar.n_samples} samples)",
             f"m5 coefficient 1-4a = {self.subchar.m5_coefficient:.6g}",
             "min eigenvalue of a*I +/- A'/(2 lambda) = "
             f"{self.subchar.min_maxwellian_jacobian_eig:.6g} (informational)",
@@ -118,20 +120,26 @@ def validate(cfg: RunConfig) -> ValidationReport:
     params = build_params(cfg)
     grid = build_grid(cfg)
     u0 = initial_velocity(cfg, grid)
-    u0_max = float(np.max(np.sqrt(u0[0] ** 2 + u0[1] ** 2)))
-    box = model.default_state_box(params, u0_max)
-    subchar = model.check_subcharacteristic(params, box)
-    scfg = solver_config(cfg)
-    dt_relax = cfg.c_relax * params.relaxation_time
-    dt_transp = cfg.c_transp * params.epsilon * grid.dx / params.lam
+    box = model.default_state_box(params, float(np.max(np.sqrt(u0[0] ** 2 + u0[1] ** 2))))
     return ValidationReport(
         params=params,
-        subchar=subchar,
-        dt_relax=dt_relax,
-        dt_transp=dt_transp,
-        dt=scfg.base_dt(params, grid.dx),
-        u0_max=u0_max,
+        grid=grid,
+        u0=u0,
+        subchar=model.check_subcharacteristic(params, box),
+        dt_relax=cfg.c_relax * params.relaxation_time,
+        dt_transp=cfg.c_transp * params.epsilon * grid.dx / params.lam,
+        dt=solver_config(cfg).base_dt(params, grid.dx),
     )
+
+
+def validated(cfg: RunConfig) -> ValidationReport:
+    """validate(cfg), raising ConstraintViolation when the check fails."""
+    report = validate(cfg)
+    if not report.passed:
+        raise ConstraintViolation(
+            "sub-characteristic check failed: " + "; ".join(report.lines())
+        )
+    return report
 
 
 class ReferenceTrajectory:
@@ -188,22 +196,17 @@ class SimulationOutput:
         return abs(float(np.mean(vals)))
 
 
-def run_simulation(cfg: RunConfig, require_valid: bool = True,
-                   debug_checks: bool = False) -> SimulationOutput:
+def run_simulation(cfg: RunConfig,
+                   report: ValidationReport | None = None) -> SimulationOutput:
     """Validated kinetic run with per-record diagnostics.
 
-    On blow-up the partial records collected so far are kept and the
-    exception is stored on the output instead of propagating.  States at the
-    first record time at or after each configured snapshot time are captured.
+    report is `validated(cfg)` when the caller has already made it.  On
+    blow-up the partial records collected so far are kept and the exception
+    is stored on the output instead of propagating.  States at the first
+    record time at or after each configured snapshot time are captured.
     """
-    report = validate(cfg)
-    if require_valid and not report.passed:
-        raise ConstraintViolation(
-            "sub-characteristic check failed: " + "; ".join(report.lines())
-        )
-    params = report.params
-    grid = build_grid(cfg)
-    u0 = initial_velocity(cfg, grid)
+    report = validated(cfg) if report is None else report
+    params, grid, u0 = report.params, report.grid, report.u0
     state0 = model.initial_kinetic_state(grid, u0, params)
     reference = ReferenceTrajectory(cfg, grid, u0)
     u0_norm_s1 = sobolev_norm(grid, u0, cfg.s + 1.0)
@@ -220,11 +223,10 @@ def run_simulation(cfg: RunConfig, require_valid: bool = True,
             pending.pop(0)
             captured[t] = state
 
-    scfg = solver_config(cfg, debug_checks)
     error = None
     final_state = None
     try:
-        final_state = kinetic.run(state0, scfg, on_record)
+        final_state = kinetic.run(state0, solver_config(cfg), on_record)
     except (BlowupDetected, NonPositiveDensity) as exc:
         error = exc
     return SimulationOutput(
@@ -296,10 +298,9 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     configs = {eps: cfg.with_epsilon(eps) for eps in epsilons}
-    for sub in configs.values():
-        validate(sub)
-
-    runs = {eps: run_simulation(configs[eps]) for eps in epsilons}
+    # every member is checked before any member runs
+    reports = {eps: validated(sub) for eps, sub in configs.items()}
+    runs = {eps: run_simulation(configs[eps], reports[eps]) for eps in epsilons}
     failures: dict[float, str] = {}
     for eps in epsilons:
         sub_dir = out_dir / f"eps_{eps:g}"

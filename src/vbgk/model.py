@@ -255,6 +255,18 @@ def flux_jacobian(j: int, w_points: np.ndarray, params: ModelParams) -> np.ndarr
     return jac
 
 
+def maxwellian_jacobians(w_points: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Jacobians dM_i/dw at a batch of states, shape (N, 3) -> (5, N, 3, 3).
+
+    a*I +/- A_j'/(2*lam) for i = 1..4 and (1-4a)*I for i = 5; they sum to I and
+    sum_i c_ij dM_i/dw = A_j' (the compatibility identities, differentiated).
+    """
+    half1, half2 = (flux_jacobian(j, w_points, params) / (2.0 * params.lam) for j in (1, 2))
+    aw = params.a * np.eye(3)
+    m5 = np.broadcast_to((1.0 - 4.0 * params.a) * np.eye(3), half1.shape)
+    return np.stack([aw + half1, aw + half2, aw - half1, aw - half2, m5])
+
+
 @dataclass(frozen=True)
 class StateBox:
     """Ranges of (rho, u1, u2) over which the validator samples."""
@@ -285,23 +297,21 @@ class SubcharacteristicReport:
 
     passed requires every characteristic speed of A_1', A_2' to stay below
     lam (so the kinetic speeds dominate the macroscopic ones) and 1-4a > 0.
-    The minimum eigenvalue of the raw Maxwellian Jacobians
-    a*I +/- A_j'/(2*lam) is reported as well.  It is non-negative (monotone
-    Maxwellians) only when 2*a*lam exceeds every characteristic speed on the
-    box, which near equilibrium needs nu/tau > lam*sqrt(P'(rho_bar)): negative
-    at lam = 2, nu = 0.01, tau = 1 (a = 0.00125), positive at lam = 3,
-    nu = 1, tau = 0.25 (a = 2/9) for eps <= 0.1.  It is informational only and
-    not part of the pass criterion.
+    The minimum eigenvalue of the Maxwellian Jacobians (`maxwellian_jacobians`)
+    is reported as well.  It is non-negative (monotone Maxwellians) only when
+    2*a*lam exceeds every characteristic speed on the box, which near
+    equilibrium needs nu/tau > lam*sqrt(P'(rho_bar)): negative at lam = 2,
+    nu = 0.01, tau = 1 (a = 0.00125), positive at lam = 3, nu = 1, tau = 0.25
+    (a = 2/9) for eps <= 0.1.  It is informational only and not part of the
+    pass criterion.
     """
 
     passed: bool
     speed_margin: float
     max_char_speed: float
-    lam: float
     m5_coefficient: float
     min_maxwellian_jacobian_eig: float
     n_samples: int
-    worst_state: tuple[float, float, float]
 
 
 def check_subcharacteristic(params: ModelParams, box: StateBox,
@@ -317,38 +327,16 @@ def check_subcharacteristic(params: ModelParams, box: StateBox,
         params.epsilon * r.ravel() * v2.ravel(),
     ], axis=1)
 
-    max_speed = 0.0
-    min_jac_eig = np.inf
-    worst = pts[0]
-    for j in (1, 2):
-        jac = flux_jacobian(j, pts, params)
-        eigs = np.linalg.eigvals(jac)
-        speeds = np.max(np.abs(eigs), axis=1)
-        i = int(np.argmax(speeds))
-        if speeds[i] > max_speed:
-            max_speed = float(speeds[i])
-            worst = pts[i]
-        half = jac / (2.0 * params.lam)
-        eye = params.a * np.eye(3)
-        for signed in (eye + half, eye - half):
-            min_jac_eig = min(min_jac_eig, float(np.min(np.linalg.eigvals(signed).real)))
-
+    max_speed = max(float(np.max(np.abs(np.linalg.eigvals(flux_jacobian(j, pts, params)))))
+                    for j in (1, 2))
+    min_jac_eig = float(np.min(np.linalg.eigvals(maxwellian_jacobians(pts, params)).real))
     m5 = 1.0 - 4.0 * params.a
-    min_jac_eig = min(min_jac_eig, m5)
     margin = params.lam - max_speed
-    rho_w, q1_w, q2_w = worst
-    worst_state = (
-        float(rho_w),
-        float(q1_w / (params.epsilon * rho_w)),
-        float(q2_w / (params.epsilon * rho_w)),
-    )
     return SubcharacteristicReport(
         passed=bool(margin > 0.0 and m5 > 0.0),
-        speed_margin=float(margin),
-        max_char_speed=float(max_speed),
-        lam=params.lam,
-        m5_coefficient=float(m5),
-        min_maxwellian_jacobian_eig=float(min_jac_eig),
+        speed_margin=margin,
+        max_char_speed=max_speed,
+        m5_coefficient=m5,
+        min_maxwellian_jacobian_eig=min_jac_eig,
         n_samples=pts.shape[0],
-        worst_state=worst_state,
     )

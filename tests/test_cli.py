@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vbgk import driver, kinetic, snapshots
 from vbgk.cli import main
 from vbgk.grid import Grid
 from vbgk.navier_stokes import taylor_green
@@ -148,6 +149,50 @@ def test_sweep_small_real_study(tmp_path):
     assert eps_col == sorted(eps_col, reverse=True)
     assert (tmp_path / "sw" / "rates.txt").exists()
     assert (tmp_path / "sw" / "eps_0.2" / "records.csv").exists()
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_sweep_validates_and_reads_u0_once_per_member(tmp_path, monkeypatch):
+    validates = count_calls(monkeypatch, driver, "validate")
+    reads = count_calls(monkeypatch, driver, "initial_velocity")
+    cfg = write_cfg(tmp_path, BASE.replace("t_end = 0.05", "t_end = 0.01")
+                    + "transport_mode = upwind\n")
+    assert main(["sweep", "--config", cfg, "--epsilons", "0.2,0.1,0.05",
+                 "--out", str(tmp_path / "sw")]) == 0
+    assert len(validates) == 3
+    assert len(reads) == 3
+
+
+def test_file_data_run_reads_snapshot_once(tmp_path, monkeypatch):
+    g = Grid(32)
+    tg, _ = taylor_green(g, 0.0, 0.01)
+    path = tmp_path / "u0.vbgk"
+    write_snapshot(path, np.stack([tg.u1, tg.u2]), 0.0)
+    reads = count_calls(monkeypatch, snapshots, "read_snapshot")
+    cfg = write_cfg(tmp_path, BASE.replace("t_end = 0.05", "t_end = 0.01")
+                    + f"initial_data = file:{path}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(reads) == 1
+
+
+def test_sweep_invalid_member_fails_before_any_run(tmp_path, monkeypatch):
+    runs = count_calls(monkeypatch, kinetic, "run")
+    cfg = write_cfg(tmp_path, BASE)
+    # members run in decreasing-epsilon order, so eps = 0 would come last
+    assert main(["sweep", "--config", cfg, "--epsilons", "0.2,0.1,0",
+                 "--out", str(tmp_path / "sw")]) == 2
+    assert runs == []
 
 
 def test_sweep_rejects_too_few_epsilons(tmp_path):

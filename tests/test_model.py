@@ -19,6 +19,7 @@ from vbgk.model import (
     flux_jacobian,
     initial_kinetic_state,
     make_params,
+    maxwellian_jacobians,
     maxwellians,
     perturbed_maxwellians,
     pressure,
@@ -157,6 +158,25 @@ def test_compatibility_identities(seed, params_default):
         lhs = np.einsum("i,ic...->c...", VELOCITY_MATRIX[:, j - 1] * params_default.lam, m)
         rhs = flux(j, w, params_default)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_maxwellian_jacobians_match_finite_differences(seed):
+    p = make_params(0.1, 0.25, 3.0, 1.0, 1.2)
+    w = admissible_w(seed, 6)  # (3, N)
+    jac = maxwellian_jacobians(w.T, p)
+    assert jac.shape == (5, 6, 3, 3)
+    h = 1e-6
+    for c in range(3):
+        dw = np.zeros((3, 1))
+        dw[c] = h
+        fd = (maxwellians(w + dw, p) - maxwellians(w - dw, p)) / (2 * h)  # (5, 3, N)
+        assert np.max(np.abs(fd.transpose(0, 2, 1) - jac[..., c])) < 1e-8
+    # the compatibility identities, differentiated
+    assert np.max(np.abs(jac.sum(axis=0) - np.eye(3))) < 1e-15
+    for j in (1, 2):
+        lhs = np.einsum("i,inab->nab", VELOCITY_MATRIX[:, j - 1] * p.lam, jac)
+        assert np.max(np.abs(lhs - flux_jacobian(j, w.T, p))) < 1e-14
 
 
 @given(seed=st.integers(0, 2 ** 31), alpha=st.floats(0.1, 3.0))
