@@ -7,7 +7,6 @@ from .diagnostics import (
     ConvergenceStudyResult,
     DiagnosticsRecord,
     RelaxationVars,
-    boundedness_report,
     deviation_norms,
     error_functionals,
     fit_rate,
@@ -17,13 +16,11 @@ from .diagnostics import (
 )
 from .grid import (
     Grid,
-    from_spectral,
     l2_norm,
     linf_norm,
     sobolev_norm,
     spectral_derivative,
     to_spectral,
-    translate,
 )
 from .kinetic import (
     KineticState,
@@ -35,10 +32,7 @@ from .kinetic import (
 )
 from .model import (
     ModelParams,
-    StateBox,
     check_subcharacteristic,
-    default_state_box,
-    entropy_eta,
     flux,
     initial_kinetic_state,
     make_params,

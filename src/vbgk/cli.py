@@ -5,7 +5,8 @@
     vbgk sweep     --config PATH [--epsilons 0.2,0.1,0.05,0.025] [--out DIR]
     vbgk reference --config PATH [--out DIR]
 
-Exit codes: 0 ok, 1 parse error, 2 constraint violation, 3 blow-up.
+Exit codes: 0 ok, 1 bad config (parse error, invalid value, unreadable
+initial-data file), 2 constraint violation, 3 blow-up.
 """
 
 from __future__ import annotations

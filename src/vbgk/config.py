@@ -138,6 +138,11 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
     if values.get("dt_policy", "auto") == "auto" and values.get("dt") is not None:
         raise ConfigError(f"{source}: dt given but dt_policy = auto", 0)
 
+    if "s" in values and not values["s"] > 0:
+        raise ConfigError(f"s must be positive, got {values['s']}", seen["s"])
+    if "s_prime" in values and not values["s_prime"] >= 0:
+        raise ConfigError(f"s_prime must be >= 0, got {values['s_prime']}", seen["s_prime"])
+
     merged = dict(_DEFAULTS)
     merged.update(values)
     merged["lam"] = merged.pop("lambda")

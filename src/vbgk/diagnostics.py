@@ -23,13 +23,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import NonPositiveDensity, NonPositiveError, TooFewPoints
-from .model import (
-    KineticState,
-    ModelParams,
-    entropy_density,
-    entropy_gradient,
-    flux,
-)
+from .model import KineticState, ModelParams, flux
 from .navier_stokes import NsState
 
 
@@ -55,18 +49,6 @@ def to_relaxation_vars(state: KineticState) -> RelaxationVars:
         k=f[0] + f[2],
         h=f[1] + f[3],
     )
-
-
-def reconstruct_kinetic(rv: RelaxationVars, grid: gridmod.Grid,
-                        params: ModelParams) -> KineticState:
-    """Invert the change of variables (linear bijection)."""
-    half = 0.5 * params.epsilon / params.lam
-    f1 = 0.5 * rv.k + half * rv.m
-    f3 = 0.5 * rv.k - half * rv.m
-    f2 = 0.5 * rv.h + half * rv.xi
-    f4 = 0.5 * rv.h - half * rv.xi
-    f5 = rv.w - rv.k - rv.h
-    return KineticState(grid=grid, params=params, f=np.stack([f1, f2, f3, f4, f5]))
 
 
 def macro_fields(state: KineticState) -> tuple[np.ndarray, np.ndarray]:
@@ -149,11 +131,14 @@ def relative_entropy_surrogate(w: np.ndarray, w_ref: np.ndarray,
                                params: ModelParams) -> float:
     """Quadratic relative entropy eta(w) - eta(w_ref) - grad eta(w_ref).(w - w_ref).
 
+    For eta = |q|^2/(2*rho) + rho^2/(2*rho_bar) this is, written out,
+    (rho - rho_ref)^2/(2*rho_bar) + rho*|q/rho - q_ref/rho_ref|^2/2.
     A macroscopic surrogate for the kinetic relative entropy, whose exact
     form is not available in closed form; labeled as such in all outputs.
     """
-    dens = (entropy_density(w, params) - entropy_density(w_ref, params)
-            - np.sum(entropy_gradient(w_ref, params) * (w - w_ref), axis=0))
+    rho, rho_ref = w[0], w_ref[0]
+    du = w[1:] / rho - w_ref[1:] / rho_ref
+    dens = (rho - rho_ref) ** 2 / (2.0 * params.rho_bar) + 0.5 * rho * np.sum(du * du, axis=0)
     return float(np.mean(dens))
 
 
@@ -261,37 +246,3 @@ def fit_rate(epsilons, errors) -> ConvergenceStudyResult:
         residual=residual,
     )
 
-
-@dataclass(frozen=True)
-class BoundednessReport:
-    """Time series of the sup bound functional against a threshold M."""
-
-    threshold: float
-    supremum: float
-    sup_time: float
-    first_crossing: float | None
-    series: tuple[tuple[float, float], ...]
-
-    @property
-    def crossed(self) -> bool:
-        return self.first_crossing is not None
-
-
-def boundedness_report(records, threshold: float) -> BoundednessReport:
-    if not records:
-        raise ValueError("boundedness report needs at least one record")
-    series = tuple((r.t, r.sup_bound_functional) for r in records)
-    values = np.array([v for _, v in series])
-    i_max = int(np.argmax(values))
-    crossing = None
-    for t, v in series:
-        if v > threshold:
-            crossing = t
-            break
-    return BoundednessReport(
-        threshold=threshold,
-        supremum=float(values[i_max]),
-        sup_time=series[i_max][0],
-        first_crossing=crossing,
-        series=series,
-    )

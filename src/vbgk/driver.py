@@ -37,7 +37,10 @@ def fmt(x: float) -> str:
 
 
 def build_grid(cfg: RunConfig) -> Grid:
-    return Grid(cfg.n)
+    try:
+        return Grid(cfg.n)
+    except ValueError as exc:
+        raise ConfigError(str(exc), 0) from None
 
 
 def build_params(cfg: RunConfig) -> ModelParams:
@@ -45,14 +48,17 @@ def build_params(cfg: RunConfig) -> ModelParams:
 
 
 def solver_config(cfg: RunConfig) -> kinetic.SolverConfig:
-    return kinetic.SolverConfig(
-        t_end=cfg.t_end,
-        dt=cfg.dt if cfg.dt_policy == "fixed" else None,
-        c_relax=cfg.c_relax,
-        c_transp=cfg.c_transp,
-        transport_mode=cfg.transport_mode,
-        record_every=cfg.record_every,
-    )
+    try:
+        return kinetic.SolverConfig(
+            t_end=cfg.t_end,
+            dt=cfg.dt if cfg.dt_policy == "fixed" else None,
+            c_relax=cfg.c_relax,
+            c_transp=cfg.c_transp,
+            transport_mode=cfg.transport_mode,
+            record_every=cfg.record_every,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc), 0) from None
 
 
 def initial_velocity(cfg: RunConfig, grid: Grid) -> np.ndarray:
@@ -103,7 +109,7 @@ class ValidationReport:
             f"subcharacteristic: {'PASS' if self.subchar.passed else 'FAIL'}"
             f"  speed margin = {self.subchar.speed_margin:.6g}"
             f"  (max characteristic speed {self.subchar.max_char_speed:.6g}"
-            f" vs lambda {self.params.lam:.6g}, {self.subchar.n_samples} samples)",
+            f" vs lambda {self.params.lam:.6g})",
             f"m5 coefficient 1-4a = {self.subchar.m5_coefficient:.6g}",
             "min eigenvalue of a*I +/- A'/(2 lambda) = "
             f"{self.subchar.min_maxwellian_jacobian_eig:.6g} (informational)",
@@ -119,16 +125,17 @@ def validate(cfg: RunConfig) -> ValidationReport:
     """Parameter constraints plus the sub-characteristic box check."""
     params = build_params(cfg)
     grid = build_grid(cfg)
+    solver = solver_config(cfg)
     u0 = initial_velocity(cfg, grid)
-    box = model.default_state_box(params, float(np.max(np.sqrt(u0[0] ** 2 + u0[1] ** 2))))
+    u_max = float(np.max(np.sqrt(u0[0] ** 2 + u0[1] ** 2)))
     return ValidationReport(
         params=params,
         grid=grid,
         u0=u0,
-        subchar=model.check_subcharacteristic(params, box),
+        subchar=model.check_subcharacteristic(params, u_max),
         dt_relax=cfg.c_relax * params.relaxation_time,
         dt_transp=cfg.c_transp * params.epsilon * grid.dx / params.lam,
-        dt=solver_config(cfg).base_dt(params, grid.dx),
+        dt=solver.base_dt(params, grid.dx),
     )
 
 

@@ -98,12 +98,6 @@ def to_spectral(grid: Grid, f: np.ndarray) -> np.ndarray:
     return np.fft.fft2(f, axes=(-2, -1)) / grid.n ** 2
 
 
-def from_spectral(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real field from normalized coefficients (imaginary residue dropped)."""
-    coeffs = grid.check_field(coeffs)
-    return np.real(np.fft.ifft2(coeffs, axes=(-2, -1))) * grid.n ** 2
-
-
 def spectral_derivative(grid: Grid, f: np.ndarray, axis: str, order: int = 1) -> np.ndarray:
     """Derivative of given order along 'x' or 'y' via (i k)^order multipliers.
 
@@ -127,15 +121,6 @@ def spectral_derivative(grid: Grid, f: np.ndarray, axis: str, order: int = 1) ->
     return np.real(np.fft.ifft2(F * factor, axes=(-2, -1)))
 
 
-def translate(grid: Grid, f: np.ndarray, shift: tuple[float, float]) -> np.ndarray:
-    """g(x, y) = f(x - sx, y - sy), exact for band-limited fields."""
-    f = grid.check_field(f)
-    sx, sy = shift
-    phase = np.exp(-1j * (grid.kx * sx + grid.ky * sy))
-    F = np.fft.fft2(f, axes=(-2, -1))
-    return np.real(np.fft.ifft2(F * phase, axes=(-2, -1)))
-
-
 def sobolev_norm(grid: Grid, f: np.ndarray, s: float) -> float:
     """H^s norm under the normalized-measure convention.
 
@@ -152,7 +137,9 @@ def sobolev_norm(grid: Grid, f: np.ndarray, s: float) -> float:
 
 
 def l2_norm(grid: Grid, f: np.ndarray) -> float:
-    return sobolev_norm(grid, f, 0.0)
+    """sobolev_norm(grid, f, 0) without the transform: Parseval's identity."""
+    f = grid.check_field(f)
+    return float(np.sqrt(np.sum(np.mean(f * f, axis=(-2, -1)))))
 
 
 def linf_norm(f: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Model parameters, Maxwellians, fluxes, entropy and structural validators.
+"""Model parameters, Maxwellians, fluxes and the structural validator.
 
 The kinetic model evolves five vector densities f_i (i = 1..5), each with
 three components, attached to the velocities
@@ -99,6 +99,11 @@ def pressure(rho, params: ModelParams):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def pressure_derivative(rho, params: ModelParams):
+    """P'(rho) = rho/rho_bar, the squared sound speed."""
+    return rho / params.rho_bar
+
+
 def flux(j: int, w: np.ndarray, params: ModelParams) -> np.ndarray:
     """Flux A_j(w), j in {1, 2}; w has shape (3, ...)."""
     if j not in (1, 2):
@@ -196,36 +201,7 @@ def initial_kinetic_state(grid: gridmod.Grid, u0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# entropy of the limiting first-order system
-# ---------------------------------------------------------------------------
-
-def entropy_weight(params: ModelParams) -> float:
-    """Coefficient of rho^2 in the entropy; 1/(2*rho_bar) matches P."""
-    return 1.0 / (2.0 * params.rho_bar)
-
-
-def entropy_density(w: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Pointwise 0.5*|q|^2/rho + rho^2/(2*rho_bar)."""
-    w = np.asarray(w, dtype=float)
-    rho = _check_density(w[0])
-    return 0.5 * (w[1] ** 2 + w[2] ** 2) / rho + entropy_weight(params) * rho ** 2
-
-
-def entropy_eta(w: np.ndarray, params: ModelParams) -> float:
-    """Normalized-measure integral (grid mean) of the entropy density."""
-    return float(np.mean(entropy_density(w, params)))
-
-
-def entropy_gradient(w: np.ndarray, params: ModelParams) -> np.ndarray:
-    """d(entropy density)/dw, same shape as w."""
-    w = np.asarray(w, dtype=float)
-    rho = _check_density(w[0])
-    g_rho = -0.5 * (w[1] ** 2 + w[2] ** 2) / rho ** 2 + 2.0 * entropy_weight(params) * rho
-    return np.stack([g_rho, w[1] / rho, w[2] / rho])
-
-
-# ---------------------------------------------------------------------------
-# structural validator: sub-characteristic condition over a state box
+# Jacobians and the sub-characteristic validator
 # ---------------------------------------------------------------------------
 
 def flux_jacobian(j: int, w_points: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -235,7 +211,7 @@ def flux_jacobian(j: int, w_points: np.ndarray, params: ModelParams) -> np.ndarr
     w_points = np.asarray(w_points, dtype=float).reshape(-1, 3)
     rho, q1, q2 = w_points[:, 0], w_points[:, 1], w_points[:, 2]
     _check_density(rho)
-    dp = rho / params.rho_bar
+    dp = pressure_derivative(rho, params)
     n = w_points.shape[0]
     jac = np.zeros((n, 3, 3))
     if j == 1:
@@ -268,42 +244,19 @@ def maxwellian_jacobians(w_points: np.ndarray, params: ModelParams) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class StateBox:
-    """Ranges of (rho, u1, u2) over which the validator samples."""
-
-    rho: tuple[float, float]
-    u1: tuple[float, float]
-    u2: tuple[float, float]
-
-    def __post_init__(self):
-        if self.rho[0] <= 0 or self.rho[1] < self.rho[0]:
-            raise ConstraintViolation(f"state box density range invalid: {self.rho}")
-
-
-def default_state_box(params: ModelParams, u_max: float) -> StateBox:
-    """Density within rho_bar*(1 +/- eps/2), velocities within 2*u_max."""
-    half = 0.5 * params.epsilon
-    u = 2.0 * abs(u_max)
-    return StateBox(
-        rho=(params.rho_bar * (1.0 - half), params.rho_bar * (1.0 + half)),
-        u1=(-u, u),
-        u2=(-u, u),
-    )
-
-
-@dataclass(frozen=True)
 class SubcharacteristicReport:
-    """Outcome of sampling the state box.
+    """Outcome of the sub-characteristic check over the validator's state box.
 
-    passed requires every characteristic speed of A_1', A_2' to stay below
-    lam (so the kinetic speeds dominate the macroscopic ones) and 1-4a > 0.
-    The minimum eigenvalue of the Maxwellian Jacobians (`maxwellian_jacobians`)
-    is reported as well.  It is non-negative (monotone Maxwellians) only when
-    2*a*lam exceeds every characteristic speed on the box, which near
-    equilibrium needs nu/tau > lam*sqrt(P'(rho_bar)): negative at lam = 2,
-    nu = 0.01, tau = 1 (a = 0.00125), positive at lam = 3, nu = 1, tau = 0.25
-    (a = 2/9) for eps <= 0.1.  It is informational only and not part of the
-    pass criterion.
+    The box holds densities rho_bar*(1 +/- eps/2) and velocity components
+    within +/- 2*u_max.  passed requires every characteristic speed of A_1',
+    A_2' to stay below lam (so the kinetic speeds dominate the macroscopic
+    ones) and 1-4a > 0.  The minimum eigenvalue of the Maxwellian Jacobians
+    (`maxwellian_jacobians`) is reported as well.  It is non-negative
+    (monotone Maxwellians) only when 2*a*lam exceeds every characteristic
+    speed on the box, which near equilibrium needs nu/tau > lam*sqrt(P'(rho_bar)):
+    negative at lam = 2, nu = 0.01, tau = 1 (a = 0.00125), positive at
+    lam = 3, nu = 1, tau = 0.25 (a = 2/9) for eps <= 0.1.  It is
+    informational only and not part of the pass criterion.
     """
 
     passed: bool
@@ -311,25 +264,19 @@ class SubcharacteristicReport:
     max_char_speed: float
     m5_coefficient: float
     min_maxwellian_jacobian_eig: float
-    n_samples: int
 
 
-def check_subcharacteristic(params: ModelParams, box: StateBox,
-                            samples_per_axis: int = 11) -> SubcharacteristicReport:
-    """Sample the box on a lattice and compare characteristic speeds to lam."""
-    rho = np.linspace(box.rho[0], box.rho[1], samples_per_axis)
-    u1 = np.linspace(box.u1[0], box.u1[1], samples_per_axis)
-    u2 = np.linspace(box.u2[0], box.u2[1], samples_per_axis)
-    r, v1, v2 = np.meshgrid(rho, u1, u2, indexing="ij")
-    pts = np.stack([
-        r.ravel(),
-        params.epsilon * r.ravel() * v1.ravel(),
-        params.epsilon * r.ravel() * v2.ravel(),
-    ], axis=1)
+def check_subcharacteristic(params: ModelParams, u_max: float) -> SubcharacteristicReport:
+    """Characteristic speeds over the state box against lam, in closed form.
 
-    max_speed = max(float(np.max(np.abs(np.linalg.eigvals(flux_jacobian(j, pts, params)))))
-                    for j in (1, 2))
-    min_jac_eig = float(np.min(np.linalg.eigvals(maxwellian_jacobians(pts, params)).real))
+    The eigenvalues of A_j' are u_j and u_j +/- sqrt(P'(rho)) with
+    u = q/rho = eps*v, so the largest speed on the box is
+    eps*max|v| + sqrt(P'(rho_max)), taken at a corner.  The eigenvalues of
+    a*I +/- A_j'/(2*lam) are a +/- (those)/(2*lam), and dM_5/dw = (1-4a)*I.
+    """
+    rho_max = params.rho_bar * (1.0 + 0.5 * params.epsilon)
+    max_speed = float(params.epsilon * 2.0 * abs(u_max)
+                      + np.sqrt(pressure_derivative(rho_max, params)))
     m5 = 1.0 - 4.0 * params.a
     margin = params.lam - max_speed
     return SubcharacteristicReport(
@@ -337,6 +284,5 @@ def check_subcharacteristic(params: ModelParams, box: StateBox,
         speed_margin=margin,
         max_char_speed=max_speed,
         m5_coefficient=m5,
-        min_maxwellian_jacobian_eig=min_jac_eig,
-        n_samples=pts.shape[0],
+        min_maxwellian_jacobian_eig=min(params.a - max_speed / (2.0 * params.lam), m5),
     )

@@ -39,7 +39,10 @@ def write_snapshot(path, fields: np.ndarray, time: float) -> None:
 
 def read_snapshot(path) -> tuple[np.ndarray, float]:
     """Read back (fields, time); validates magic, version, payload length."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read snapshot {path}: {exc}") from None
     if len(raw) < _HEADER.size:
         raise ConfigError(f"snapshot {path} truncated before header")
     magic, version, n, ncomp, time = _HEADER.unpack_from(raw)

@@ -55,6 +55,24 @@ def test_validate_parse_error_has_line_number(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "n = 7",
+    "c_relax = -1",
+    "record_every = 0",
+    "dt = -0.1",
+    "s_prime = -1",
+    "s = 0",
+    "initial_data = file:/nonexistent",
+])
+def test_run_bad_config_value_exits_1(tmp_path, capsys, line):
+    key = line.split("=")[0].strip()
+    text = "".join(row + "\n" for row in BASE.splitlines()
+                   if row.split("=")[0].strip() != key)
+    cfg = write_cfg(tmp_path, text + line + "\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_run_equilibrium_records(tmp_path):
     cfg = write_cfg(tmp_path, BASE.replace("t_end = 0.05", "t_end = 1.0")
                     + "initial_data = zero\n"

@@ -5,13 +5,11 @@ from hypothesis import given, strategies as st
 from vbgk.errors import DimensionMismatch
 from vbgk.grid import (
     Grid,
-    from_spectral,
     l2_norm,
     linf_norm,
     sobolev_norm,
     spectral_derivative,
     to_spectral,
-    translate,
 )
 
 from conftest import random_field
@@ -53,7 +51,7 @@ def test_sin_coefficients(grid32):
 def test_round_trip_identity(seed):
     g = Grid(16)
     f = random_field(seed, 16)
-    back = from_spectral(g, to_spectral(g, f))
+    back = np.real(np.fft.ifft2(to_spectral(g, f))) * g.n ** 2
     scale = max(1.0, np.max(np.abs(f)))
     assert np.max(np.abs(back - f)) / scale < 1e-12
 
@@ -88,28 +86,6 @@ def test_derivative_rejects_bad_args(grid32):
         spectral_derivative(grid32, f, "z")
     with pytest.raises(ValueError):
         spectral_derivative(grid32, f, "x", order=0)
-
-
-def test_translate_analytic(grid32):
-    x = grid32.x
-    shifted = translate(grid32, np.sin(x), (np.pi / 2, 0.0))
-    assert np.max(np.abs(shifted - np.sin(x - np.pi / 2))) < 1e-12
-    assert np.max(np.abs(shifted + np.cos(x))) < 1e-12
-
-
-def test_translate_identity_and_constant(grid32):
-    f = random_field(11, 32)
-    assert np.max(np.abs(translate(grid32, f, (0.0, 0.0)) - f)) < 1e-13
-    c = np.full((32, 32), 2.5)
-    assert np.max(np.abs(translate(grid32, c, (0.37, -1.2)) - c)) < 1e-13
-
-
-@given(seed=st.integers(0, 2 ** 31), sx=st.floats(-10, 10), sy=st.floats(-10, 10))
-def test_translate_round_trip(seed, sx, sy):
-    g = Grid(16)
-    f = random_field(seed, 16)
-    back = translate(g, translate(g, f, (sx, sy)), (-sx, -sy))
-    assert np.max(np.abs(back - f)) < 1e-12
 
 
 def test_norm_of_constant(grid32):
@@ -148,6 +124,13 @@ def test_parseval(seed):
     lhs = l2_norm(g, f) ** 2
     rhs = float(np.mean(f ** 2))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
+
+
+@given(seed=st.integers(0, 2 ** 31))
+def test_l2_norm_equals_sobolev_zero_on_stacks(seed):
+    g = Grid(16)
+    f = np.stack([random_field(seed + c, 16, amplitude=1.0 + c) for c in range(3)])
+    assert l2_norm(g, f) == pytest.approx(sobolev_norm(g, f, 0.0), rel=1e-14, abs=0)
 
 
 @given(seed=st.integers(0, 2 ** 31))

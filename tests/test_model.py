@@ -8,13 +8,10 @@ from vbgk.errors import (
     NonPositiveInput,
     NotDivergenceFree,
 )
+from vbgk.diagnostics import relative_entropy_surrogate
 from vbgk.grid import Grid
 from vbgk.model import (
-    StateBox,
     check_subcharacteristic,
-    default_state_box,
-    entropy_density,
-    entropy_eta,
     flux,
     flux_jacobian,
     initial_kinetic_state,
@@ -248,21 +245,25 @@ def test_initial_state_rejects_gradient_field(grid32, params_default):
 
 
 # ---------------------------------------------------------------------------
-# entropy
+# entropy (the quadratic relative entropy of the limiting system)
 # ---------------------------------------------------------------------------
 
+BACKGROUND = np.array([1.0, 0.0, 0.0])
+
+
 def test_entropy_at_background(params_default):
-    w = np.stack([np.full((8, 8), 1.0), np.zeros((8, 8)), np.zeros((8, 8))])
-    assert entropy_eta(w, params_default) == pytest.approx(0.5, abs=1e-14)
+    assert relative_entropy_surrogate(BACKGROUND, BACKGROUND, params_default) == 0.0
+    # a uniform density offset d costs d^2/(2*rho_bar)
+    w = np.array([1.2, 0.0, 0.0])
+    assert relative_entropy_surrogate(w, BACKGROUND, params_default) == pytest.approx(
+        0.02, abs=1e-15)
 
 
 def test_entropy_kinetic_part_quadratic(params_default):
     w1 = np.array([1.0, 0.2, -0.1])
     w2 = np.array([1.0, 0.4, -0.2])
-    kinetic1 = entropy_density(w1, params_default) - entropy_density(
-        np.array([1.0, 0.0, 0.0]), params_default)
-    kinetic2 = entropy_density(w2, params_default) - entropy_density(
-        np.array([1.0, 0.0, 0.0]), params_default)
+    kinetic1 = relative_entropy_surrogate(w1, BACKGROUND, params_default)
+    kinetic2 = relative_entropy_surrogate(w2, BACKGROUND, params_default)
     assert kinetic2 == pytest.approx(4.0 * kinetic1, rel=1e-12)
 
 
@@ -271,7 +272,8 @@ def test_entropy_convex_along_segments(seed, params_default):
     rng = np.random.default_rng(seed)
     wa = np.array([rng.uniform(0.5, 2.0), *rng.uniform(-0.4, 0.4, 2)])
     wb = np.array([rng.uniform(0.5, 2.0), *rng.uniform(-0.4, 0.4, 2)])
-    eta = lambda th: float(entropy_density(wa + th * (wb - wa), params_default))
+    eta = lambda th: relative_entropy_surrogate(wa + th * (wb - wa), BACKGROUND,
+                                                params_default)
     h = 1e-3
     for theta in (0.25, 0.5, 0.75):
         second = (eta(theta + h) - 2 * eta(theta) + eta(theta - h)) / h ** 2
@@ -281,6 +283,30 @@ def test_entropy_convex_along_segments(seed, params_default):
 # ---------------------------------------------------------------------------
 # sub-characteristic validator
 # ---------------------------------------------------------------------------
+
+#: (epsilon, tau, lam, nu, rho_bar): README, dissipative, lam = 20, lam = 0.15
+VALIDATOR_PARAMS = {
+    "readme": (0.1, 1.0, 2.0, 0.01, 1.0),
+    "dissipative": (0.1, 0.25, 3.0, 1.0, 1.0),
+    "lam20": (0.05, 1.0, 20.0, 0.01, 1.0),
+    "lam015": (0.1, 1.0, 0.15, 0.01, 1.0),
+}
+
+
+def _box_lattice(params, u_max, samples_per_axis=11):
+    """The validator's state box on a lattice, as states (N, 3).
+
+    Densities rho_bar*(1 +/- eps/2), velocity components within 2*u_max.
+    """
+    half = 0.5 * params.epsilon
+    rho = np.linspace(params.rho_bar * (1.0 - half), params.rho_bar * (1.0 + half),
+                      samples_per_axis)
+    u = np.linspace(-2.0 * u_max, 2.0 * u_max, samples_per_axis)
+    r, v1, v2 = np.meshgrid(rho, u, u, indexing="ij")
+    r = r.ravel()
+    return np.stack([r, params.epsilon * r * v1.ravel(), params.epsilon * r * v2.ravel()],
+                    axis=1)
+
 
 def _char_speeds_oracle(w_points, params):
     """Characteristic speeds via characteristic-polynomial roots."""
@@ -292,32 +318,39 @@ def _char_speeds_oracle(w_points, params):
     return max(speeds)
 
 
+@pytest.mark.parametrize("u_max", [1.0, 0.37])
+@pytest.mark.parametrize("name", sorted(VALIDATOR_PARAMS))
+def test_closed_forms_match_eigvals_on_lattice(name, u_max):
+    p = make_params(*VALIDATOR_PARAMS[name])
+    pts = _box_lattice(p, u_max)
+    speed = max(float(np.max(np.abs(np.linalg.eigvals(flux_jacobian(j, pts, p)))))
+                for j in (1, 2))
+    min_eig = float(np.min(np.linalg.eigvals(maxwellian_jacobians(pts, p)).real))
+    report = check_subcharacteristic(p, u_max)
+    assert abs(report.max_char_speed - speed) <= 1e-12
+    assert abs(report.min_maxwellian_jacobian_eig - min_eig) <= 1e-12
+    assert report.speed_margin == p.lam - report.max_char_speed
+
+
 def test_subcharacteristic_passes_near_background(params_default):
-    box = default_state_box(params_default, u_max=1.0)
-    report = check_subcharacteristic(params_default, box)
+    report = check_subcharacteristic(params_default, u_max=1.0)
     assert report.passed
     assert report.m5_coefficient == pytest.approx(1 - 4 * params_default.a)
     # plain Maxwellian Jacobians always carry a negative eigenvalue here
     assert report.min_maxwellian_jacobian_eig < 0
-    # independent oracle agrees on the maximal characteristic speed
+    # independent oracle at random states of the box stays below the maximum
     rng = np.random.default_rng(7)
-    rho = rng.uniform(*box.rho, 40)
-    u1 = rng.uniform(*box.u1, 40)
-    u2 = rng.uniform(*box.u2, 40)
-    pts = np.stack([rho, params_default.epsilon * rho * u1,
-                    params_default.epsilon * rho * u2], axis=1)
+    eps, rho_bar = params_default.epsilon, params_default.rho_bar
+    rho = rng.uniform(rho_bar * (1 - eps / 2), rho_bar * (1 + eps / 2), 40)
+    u1, u2 = rng.uniform(-2.0, 2.0, (2, 40))
+    pts = np.stack([rho, eps * rho * u1, eps * rho * u2], axis=1)
     oracle = _char_speeds_oracle(pts, params_default)
     assert oracle <= report.max_char_speed + 1e-9
 
 
 def test_subcharacteristic_fails_for_small_lambda():
     # lam = 0.15 keeps a < 1/4 but characteristic speeds ~1 exceed lam
-    p = make_params(0.1, 1.0, 0.15, 0.01, 1.0)
-    report = check_subcharacteristic(p, default_state_box(p, u_max=1.0))
+    p = make_params(*VALIDATOR_PARAMS["lam015"])
+    report = check_subcharacteristic(p, u_max=1.0)
     assert not report.passed
     assert report.max_char_speed > p.lam
-
-
-def test_state_box_validation():
-    with pytest.raises(ConstraintViolation):
-        StateBox(rho=(-1.0, 2.0), u1=(0, 0), u2=(0, 0))
