@@ -1,8 +1,8 @@
 """Plain-text run configuration: one `key = value` per line, `#` comments.
 
 Parsing is total: any malformed line, unknown key, bad value or missing
-required key raises ConfigError carrying a line number (0 for file-level
-problems such as missing keys).
+required key raises ConfigError, carrying the line number when the problem
+sits on one line (file-level problems such as missing keys carry none).
 """
 
 from __future__ import annotations
@@ -130,13 +130,13 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
 
     missing = [k for k in REQUIRED_KEYS if k not in values]
     if missing:
-        raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}", 0)
+        raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
     if "dt_policy" not in values and "dt" in values:
         values["dt_policy"] = "fixed"
     if values.get("dt_policy", "auto") == "fixed" and values.get("dt") is None:
-        raise ConfigError(f"{source}: dt_policy = fixed requires a dt key", 0)
+        raise ConfigError(f"{source}: dt_policy = fixed requires a dt key")
     if values.get("dt_policy", "auto") == "auto" and values.get("dt") is not None:
-        raise ConfigError(f"{source}: dt given but dt_policy = auto", 0)
+        raise ConfigError(f"{source}: dt given but dt_policy = auto")
 
     if "s" in values and not values["s"] > 0:
         raise ConfigError(f"s must be positive, got {values['s']}", seen["s"])
@@ -154,5 +154,5 @@ def parse_config(path) -> RunConfig:
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}", 0) from None
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text, source=str(path))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import NonPositiveDensity, NonPositiveError, TooFewPoints
-from .model import KineticState, ModelParams, flux
+from .model import KineticState, ModelParams, fluxes
 from .navier_stokes import NsState
 
 
@@ -87,16 +87,16 @@ def deviation_norms(rv: RelaxationVars, grid: gridmod.Grid,
 
     Returns (dev_k, dev_h, dev_m, dev_xi) with
     dev_k = ||k - 2aw||, dev_m = ||m - A_1(w)/eps + tau*lam^2*dx(k)||
-    and the y-analogues for h and xi.
+    and the y-analogues for h and xi.  The density of rv.w must be positive;
+    compute_record checks it in error_functionals first.
     """
     a = params.a
     visc = params.tau * params.lam ** 2
     dev_k = gridmod.l2_norm(grid, rv.k - 2.0 * a * rv.w)
     dev_h = gridmod.l2_norm(grid, rv.h - 2.0 * a * rv.w)
-    a1 = flux(1, rv.w, params) / params.epsilon
-    a2 = flux(2, rv.w, params) / params.epsilon
-    dkx = np.stack([gridmod.spectral_derivative(grid, rv.k[c], "x") for c in range(3)])
-    dhy = np.stack([gridmod.spectral_derivative(grid, rv.h[c], "y") for c in range(3)])
+    a1, a2 = fluxes(rv.w, params) / params.epsilon
+    dkx = gridmod.spectral_derivative(grid, rv.k, "x")
+    dhy = gridmod.spectral_derivative(grid, rv.h, "y")
     dev_m = gridmod.l2_norm(grid, rv.m - a1 + visc * dkx)
     dev_xi = gridmod.l2_norm(grid, rv.xi - a2 + visc * dhy)
     return dev_k, dev_h, dev_m, dev_xi

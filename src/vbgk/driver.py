@@ -40,7 +40,7 @@ def build_grid(cfg: RunConfig) -> Grid:
     try:
         return Grid(cfg.n)
     except ValueError as exc:
-        raise ConfigError(str(exc), 0) from None
+        raise ConfigError(str(exc)) from None
 
 
 def build_params(cfg: RunConfig) -> ModelParams:
@@ -58,7 +58,7 @@ def solver_config(cfg: RunConfig) -> kinetic.SolverConfig:
             record_every=cfg.record_every,
         )
     except ValueError as exc:
-        raise ConfigError(str(exc), 0) from None
+        raise ConfigError(str(exc)) from None
 
 
 def initial_velocity(cfg: RunConfig, grid: Grid) -> np.ndarray:
@@ -71,8 +71,7 @@ def initial_velocity(cfg: RunConfig, grid: Grid) -> np.ndarray:
     fields, _ = snapshots.read_snapshot(cfg.initial_data_path)
     if fields.shape != (2, grid.n, grid.n):
         raise ConfigError(
-            f"initial data file has shape {fields.shape}, expected (2, {grid.n}, {grid.n})",
-            0,
+            f"initial data file has shape {fields.shape}, expected (2, {grid.n}, {grid.n})"
         )
     return fields
 
@@ -300,7 +299,7 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
     """One simulation per epsilon, run in decreasing-epsilon order, then rate fits."""
     epsilons = sorted({float(e) for e in epsilons}, reverse=True)
     if len(epsilons) < 3:
-        raise ConfigError(f"sweep needs >= 3 epsilons, got {len(epsilons)}", 0)
+        raise ConfigError(f"sweep needs >= 3 epsilons, got {len(epsilons)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -42,7 +42,7 @@ class TooFewPoints(VbgkError):
 
 
 class ConfigError(VbgkError):
-    """Malformed run configuration; carries the offending line number."""
+    """Malformed run configuration; carries the offending line number, if any."""
 
     def __init__(self, message, line=None):
         self.line = line

@@ -5,7 +5,7 @@ Both substeps are exact flows of their subsystems:
 * transport translates each density by c_i*dt/eps (a Fourier phase shift in
   spectral mode, or a first-order upwind sweep for cross-checking);
 * relaxation has the closed-form solution
-  f_i <- M_i(w) + exp(-dt/(tau*eps^2)) * (f_i - M_i(w)),
+  f_i <- exp(-dt/(tau*eps^2)) * f_i + (1 - exp(-dt/(tau*eps^2))) * M_i(w),
   which holds because w = sum_i f_i is conserved by the relaxation flow.
 
 The only discretization error is the splitting commutator.  The composition
@@ -20,13 +20,26 @@ the next merge into one call: each step is relaxation(owed + dt/2) then
 transport(dt), and the owed closing relaxation(dt/2) is applied only before
 a recorded state is handed out and at the end of the run.
 
+``run`` allocates one workspace (``_Workspace``) and updates it in place:
+a copy of the state f, its moments w, two (3, n, n) flux buffers and the
+transform scratch of one mover.  Each substep is one in-place kernel,
+``_relax`` or ``_transport``.  Relaxation scales f by the decay factor and
+adds (1 - decay) * M_i(w) through ``model.add_maxwellians``, without building
+the (5, 3, n, n) Maxwellian stack.  ``relaxation_step`` and
+``transport_step`` copy their input into a fresh workspace and call the same
+kernels, so each substep has one implementation.  One copy per record:
+on_record receives the workspace's state buffer itself, and once it returns
+the loop continues on a copy, the only full-state allocation inside the
+loop.  So no state handed out is written to afterwards, and the copy is not
+alive while the callback computes its diagnostics.
+
 Transport moves f_1 and f_3 along x and f_2 and f_4 along y, and f_5 not at
-all.  Spectral transport therefore needs no 2D transform: the x-movers are
-transposed so that all four movers travel along the last axis, and one real
-1D transform there, a four-row phase table and one inverse transform move
-them.  The inverse real transform keeps only the real part of the Nyquist
-coefficient, so the multiplier there is cos(k s), the same as taking the
-real part of a complex inverse transform.
+all.  Spectral transport therefore needs no 2D transform: each mover takes
+one real 1D transform along its axis of motion, a phase multiplier and one
+inverse transform, all written into the workspace.  The inverse real
+transform keeps only the real part of the Nyquist coefficient, so the
+multiplier there is cos(k s), the same as taking the real part of a complex
+inverse transform.
 
 At dt = c * tau*eps^2 the commutator is not small in eps: the linearized
 cycle relaxes like the continuous model with tau replaced by
@@ -43,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupDetected, CflViolation, NonPositiveDensity
-from .model import VELOCITY_DIRECTIONS, KineticState, maxwellians
+from .model import VELOCITY_DIRECTIONS, KineticState, add_maxwellians
 
 
 @dataclass(frozen=True)
@@ -85,73 +98,97 @@ class SolverConfig:
 
 _NONPOSITIVE = "projected density non-positive before relaxation: min = {:.6g}"
 
-# sign of the velocity of each of f_1..f_4 along its one axis of motion
-_VELOCITY_SIGNS = VELOCITY_DIRECTIONS[:4].sum(axis=1)
+# f_1..f_4 as (axis of motion, sign of velocity along it); axes: x is -2, y is -1
+_MOVERS = [(-2 if dx else -1, dx + dy) for dx, dy in VELOCITY_DIRECTIONS[:4].astype(int)]
 
 
-def _transport_spectral(state: KineticState, dt: float) -> np.ndarray:
-    n, p = state.grid.n, state.params
+class _Workspace:
+    """The buffers of one run: the state f, its moments w and the kernels' scratch.
+
+    The kernels below update f in place; _relax needs w = sum_i f_i, which it
+    conserves and transport does not.
+    """
+
+    def __init__(self, state: KineticState):
+        n = state.grid.n
+        self.grid, self.params = state.grid, state.params
+        self.f = state.f.copy()
+        self.w = self.f.sum(axis=0)
+        self.flux = np.empty((2, 3, n, n))
+        self.real = np.empty((3, n, n))
+        # one mover's coefficients along y, (3, n, n/2+1), or along x, (3, n/2+1, n)
+        self.coeffs = np.empty(3 * n * (n // 2 + 1), dtype=complex)
+
+    def state(self) -> KineticState:
+        return KineticState(grid=self.grid, params=self.params, f=self.f)
+
+
+def _transport_spectral(ws: _Workspace, dt: float) -> None:
+    n, p = ws.grid.n, ws.params
     s = p.lam * dt / p.epsilon
-    f = state.f
-    # the x-movers f_1, f_3 are transposed so every mover travels along the
-    # contiguous last axis
-    movers = np.stack([f[0].swapaxes(-1, -2), f[1], f[2].swapaxes(-1, -2), f[3]])
-    phase = np.exp(-1j * s * np.outer(_VELOCITY_SIGNS, np.arange(n // 2 + 1)))
-    coeffs = np.fft.rfft(movers, axis=-1)
-    coeffs *= phase[:, None, None, :]
-    moved = np.fft.irfft(coeffs, n=n, axis=-1)
-    out = np.empty_like(f)
-    out[0], out[2] = moved[0].swapaxes(-1, -2), moved[2].swapaxes(-1, -2)
-    out[1], out[3] = moved[1], moved[3]
-    out[4] = f[4]
-    return out
+    shift = np.exp(-1j * s * np.arange(n // 2 + 1))
+    for f_i, (axis, sign) in zip(ws.f, _MOVERS):
+        phase = shift if sign > 0 else shift.conj()
+        if axis == -2:
+            coeffs = ws.coeffs.reshape(3, n // 2 + 1, n)
+            phase = phase[:, None]
+        else:
+            coeffs = ws.coeffs.reshape(3, n, n // 2 + 1)
+        np.fft.rfft(f_i, axis=axis, out=coeffs)
+        coeffs *= phase
+        np.fft.irfft(coeffs, n=n, axis=axis, out=f_i)
 
 
-def _transport_upwind(state: KineticState, dt: float) -> np.ndarray:
-    grid, p = state.grid, state.params
-    cfl = p.lam * dt / (p.epsilon * grid.dx)
+def _transport_upwind(ws: _Workspace, dt: float) -> None:
+    cfl = ws.params.lam * dt / (ws.params.epsilon * ws.grid.dx)
     if cfl > 1.0 + 1e-12:
         raise CflViolation(f"upwind CFL = {cfl:.4g} exceeds 1")
-    f = state.f.copy()
-    # axes: x is -2, y is -1; positive speed uses the backward neighbour
-    f[0] = (1.0 - cfl) * f[0] + cfl * np.roll(f[0], 1, axis=-2)
-    f[1] = (1.0 - cfl) * f[1] + cfl * np.roll(f[1], 1, axis=-1)
-    f[2] = (1.0 - cfl) * f[2] + cfl * np.roll(f[2], -1, axis=-2)
-    f[3] = (1.0 - cfl) * f[3] + cfl * np.roll(f[3], -1, axis=-1)
-    return f
+    for f_i, (axis, sign) in zip(ws.f, _MOVERS):
+        # f_i <- (1 - cfl)*f_i + cfl*(f_i rolled by sign along axis): positive
+        # speed takes the backward neighbour
+        src, dst = f_i.swapaxes(axis, -1), ws.real.swapaxes(axis, -1)
+        np.multiply(src[..., :-sign], cfl, out=dst[..., sign:])
+        np.multiply(src[..., -sign:], cfl, out=dst[..., :sign])
+        f_i *= 1.0 - cfl
+        f_i += ws.real
+
+
+def _transport(ws: _Workspace, dt: float, mode: str) -> None:
+    if mode == "spectral":
+        _transport_spectral(ws, dt)
+    elif mode == "upwind":
+        _transport_upwind(ws, dt)
+    else:
+        raise ValueError(f"unknown transport mode {mode!r}")
+
+
+def _relax(ws: _Workspace, dt: float) -> None:
+    rho = ws.w[0]
+    rho_min = np.min(rho)
+    if rho_min <= 0.0:
+        raise NonPositiveDensity(_NONPOSITIVE.format(rho_min))
+    # NaN compares false above; it and +inf propagate through the maximum
+    if not np.isfinite(np.max(rho)):
+        raise NonPositiveDensity("density contains non-finite values")
+    decay = np.exp(-dt / ws.params.relaxation_time)
+    ws.f *= decay
+    add_maxwellians(ws.f, ws.w, 1.0 - decay, ws.params, ws.flux)
 
 
 def transport_step(state: KineticState, dt: float, mode: str = "spectral") -> KineticState:
     """Advect each density along its velocity for time dt; f_5 is at rest."""
     if dt == 0.0:
         return state
-    if mode == "spectral":
-        f = _transport_spectral(state, dt)
-    elif mode == "upwind":
-        f = _transport_upwind(state, dt)
-    else:
-        raise ValueError(f"unknown transport mode {mode!r}")
-    return KineticState(grid=state.grid, params=state.params, f=f)
+    ws = _Workspace(state)
+    _transport(ws, dt, mode)
+    return ws.state()
 
 
-def relaxation_step(state: KineticState, dt: float,
-                    w: np.ndarray | None = None) -> KineticState:
-    """Exact relaxation toward the local Maxwellians over time dt.
-
-    w, when given, must be state.w(); run() passes the moments it already
-    holds, so that each step sums the densities once.
-    """
-    if w is None:
-        w = state.w()
-    rho_min = np.min(w[0])
-    if rho_min <= 0.0:
-        raise NonPositiveDensity(_NONPOSITIVE.format(rho_min))
-    m = maxwellians(w, state.params)
-    decay = np.exp(-dt / state.params.relaxation_time)
-    f = state.f - m
-    f *= decay
-    f += m
-    return KineticState(grid=state.grid, params=state.params, f=f)
+def relaxation_step(state: KineticState, dt: float) -> KineticState:
+    """Exact relaxation toward the local Maxwellians over time dt."""
+    ws = _Workspace(state)
+    _relax(ws, dt)
+    return ws.state()
 
 
 def strang_step(state: KineticState, dt: float, mode: str = "spectral") -> KineticState:
@@ -191,31 +228,34 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
     """
     if on_record is not None:
         on_record(0.0, state, 0)
-    w = state.w()
+    ws = _Workspace(state)
     t_prev = 0.0
+    step = 0
     owed = 0.0  # closing half-relaxation deferred from the previous step
     for step, t, dt, is_record in _time_grid(cfg, cfg.base_dt(state.params, state.grid.dx)):
         try:
-            state = relaxation_step(state, owed + 0.5 * dt, w=w)
+            _relax(ws, owed + 0.5 * dt)
         except NonPositiveDensity as exc:
             raise BlowupDetected(str(exc), t_prev) from exc
-        state = transport_step(state, dt, cfg.transport_mode)
-        w = state.w()
+        _transport(ws, dt, cfg.transport_mode)
+        np.sum(ws.f, axis=0, out=ws.w)
         # NaN compares false, so a NaN density reaches the finiteness check
-        rho_min = np.min(w[0])
+        rho_min = np.min(ws.w[0])
         if rho_min <= 0.0:
             raise BlowupDetected(_NONPOSITIVE.format(rho_min), t_prev)
-        # NaN and inf propagate through the maximum, so one reduction finds both
-        if not np.isfinite(np.max(np.abs(state.f))):
+        # NaN and inf propagate through the extrema, so two reductions find both
+        if not (np.isfinite(np.max(ws.f)) and np.isfinite(np.min(ws.f))):
             raise BlowupDetected("non-finite values in kinetic state", t_prev)
         owed = 0.5 * dt
         if is_record:
-            state = relaxation_step(state, owed, w=w)
+            _relax(ws, owed)
             owed = 0.0
             if on_record is not None:
-                on_record(t, state, step)
+                on_record(t, ws.state(), step)
+                # the state handed out is never written again: step a copy of it
+                ws.f = ws.f.copy()
         t_prev = t
-    return state
+    return state if step == 0 else ws.state()
 
 
 def step_times(cfg: SolverConfig, params, dx: float) -> tuple[list[float], list[float]]:

@@ -92,11 +92,18 @@ def _check_density(rho) -> np.ndarray:
     return rho
 
 
+def _pressure_into(rho, params: ModelParams, out: np.ndarray) -> np.ndarray:
+    np.multiply(rho, rho, out=out)
+    out -= params.rho_bar ** 2
+    out /= 2.0 * params.rho_bar
+    return out
+
+
 def pressure(rho, params: ModelParams):
     """P(rho) = (rho^2 - rho_bar^2) / (2*rho_bar); rejects rho <= 0."""
     rho = _check_density(rho)
-    out = (rho ** 2 - params.rho_bar ** 2) / (2.0 * params.rho_bar)
-    return float(out) if np.ndim(out) == 0 else out
+    out = _pressure_into(rho, params, np.empty(rho.shape))
+    return float(out) if out.ndim == 0 else out
 
 
 def pressure_derivative(rho, params: ModelParams):
@@ -104,33 +111,70 @@ def pressure_derivative(rho, params: ModelParams):
     return rho / params.rho_bar
 
 
+def fluxes(w: np.ndarray, params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
+    """A_1(w) and A_2(w), shape (2, 3, ...) for w of shape (3, ...).
+
+    The pressure is evaluated once.  No density check: callers check rho > 0
+    first.  out, when given, must be a C-contiguous (2, 3, ...) array; the
+    result is written there and no other temporary of that size is made.
+    """
+    w = np.asarray(w, dtype=float)
+    if out is None:
+        out = np.empty((2,) + w.shape)
+    rho, q1, q2 = w.reshape(3, -1)
+    a1, a2 = out.reshape(2, 3, -1)
+    # a2[2] holds P(rho) until q2^2/rho, made in a2[0], is added to it
+    _pressure_into(rho, params, a2[2])
+    np.multiply(q1, q1, out=a1[1])
+    a1[1] /= rho
+    a1[1] += a2[2]
+    np.multiply(q1, q2, out=a1[2])
+    a1[2] /= rho
+    a2[1] = a1[2]
+    np.multiply(q2, q2, out=a2[0])
+    a2[0] /= rho
+    a2[2] += a2[0]
+    a1[0] = q1
+    a2[0] = q2
+    return out
+
+
 def flux(j: int, w: np.ndarray, params: ModelParams) -> np.ndarray:
     """Flux A_j(w), j in {1, 2}; w has shape (3, ...)."""
     if j not in (1, 2):
         raise ValueError(f"flux index must be 1 or 2, got {j}")
     w = np.asarray(w, dtype=float)
-    rho, q1, q2 = w[0], w[1], w[2]
-    p = pressure(rho, params)
-    if j == 1:
-        return np.stack([q1, q1 * q1 / rho + p, q1 * q2 / rho])
-    return np.stack([q2, q1 * q2 / rho, q2 * q2 / rho + p])
+    _check_density(w[0])
+    return fluxes(w, params)[j - 1]
+
+
+def add_maxwellians(f: np.ndarray, w: np.ndarray, scale: float, params: ModelParams,
+                    scratch: np.ndarray) -> None:
+    """f += scale * M(w) in place, for f of shape (5, 3, ...) and w of shape (3, ...).
+
+    scratch is a C-contiguous (2, 3, ...) buffer; it is overwritten.  No
+    density check: callers check rho > 0 first.
+    """
+    a = params.a
+    np.multiply(w, scale * a, out=scratch[0])
+    f[:4] += scratch[0]
+    np.multiply(w, scale * (1.0 - 4.0 * a), out=scratch[0])
+    f[4] += scratch[0]
+    fluxes(w, params, out=scratch)
+    scratch *= scale / (2.0 * params.lam)
+    f[0] += scratch[0]
+    f[1] += scratch[1]
+    f[2] -= scratch[0]
+    f[3] -= scratch[1]
 
 
 def maxwellians(w: np.ndarray, params: ModelParams) -> np.ndarray:
     """All five Maxwellians, shape (5, 3, ...) for w of shape (3, ...)."""
     w = np.asarray(w, dtype=float)
-    a = params.a
-    half = 1.0 / (2.0 * params.lam)
-    # flux(1, ...) and flux(2, ...) written out with one pressure evaluation
-    # (and one density check); the result equals the flux-based stack bit
-    # for bit
-    rho, q1, q2 = w[0], w[1], w[2]
-    p = pressure(rho, params)
-    q1q2 = q1 * q2 / rho
-    a1 = np.stack([q1, q1 * q1 / rho + p, q1q2]) * half
-    a2 = np.stack([q2, q1q2, q2 * q2 / rho + p]) * half
-    aw = a * w
-    return np.stack([aw + a1, aw + a2, aw - a1, aw - a2, (1.0 - 4.0 * a) * w])
+    _check_density(w[0])
+    m = np.zeros((5,) + w.shape)
+    add_maxwellians(m, w, 1.0, params, np.empty((2,) + w.shape))
+    return m
 
 
 def perturbed_maxwellians(grid: gridmod.Grid, w: np.ndarray,

@@ -190,8 +190,8 @@ def test_strang_second_order_self_convergence():
 
 @pytest.mark.parametrize("rho", [-0.1, np.nan])
 def test_relaxation_rejects_bad_density(grid32, params_default, rho):
-    # a negative minimum fails relaxation_step's own check; NaN compares
-    # false there and is caught by the density check inside maxwellians
+    # a negative minimum fails relaxation_step's positivity check; NaN
+    # compares false there and is caught by its finiteness check
     f = equilibrium_state(grid32, params_default).f.copy()
     f[4, 0, 2, 3] = rho - f[:4, 0, 2, 3].sum()
     with pytest.raises(NonPositiveDensity):
@@ -300,6 +300,18 @@ def test_run_aborts_on_high_wavenumber_instability():
     with pytest.raises(BlowupDetected) as exc_info:
         run(st0, SolverConfig(t_end=0.6))
     assert 0.3 < exc_info.value.t_last_good < 0.6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", ["spectral", "upwind"])
+def test_run_aborts_on_non_finite_momentum(grid32, params_default, mode, bad):
+    # the density stays positive, so only the finiteness check can catch it
+    f = taylor_green_state(grid32, params_default).f.copy()
+    f[4, 1, 5, 7] = bad
+    st0 = KineticState(grid32, params_default, f)
+    with pytest.raises(BlowupDetected, match="non-finite values in kinetic state") as exc_info:
+        run(st0, SolverConfig(t_end=0.1, transport_mode=mode))
+    assert exc_info.value.t_last_good == 0.0
 
 
 def test_spectral_and_upwind_agree_under_refinement():
