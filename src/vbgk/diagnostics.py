@@ -23,7 +23,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import NonPositiveDensity, NonPositiveError, TooFewPoints
-from .model import KineticState, ModelParams, fluxes
+from .model import KineticState, ModelParams, _check_density, fluxes
 from .navier_stokes import NsState
 
 
@@ -87,9 +87,10 @@ def deviation_norms(rv: RelaxationVars, grid: gridmod.Grid,
 
     Returns (dev_k, dev_h, dev_m, dev_xi) with
     dev_k = ||k - 2aw||, dev_m = ||m - A_1(w)/eps + tau*lam^2*dx(k)||
-    and the y-analogues for h and xi.  The density of rv.w must be positive;
-    compute_record checks it in error_functionals first.
+    and the y-analogues for h and xi.  Rejects a non-positive or non-finite
+    density of rv.w.
     """
+    _check_density(rv.w[0])
     a = params.a
     visc = params.tau * params.lam ** 2
     dev_k = gridmod.l2_norm(grid, rv.k - 2.0 * a * rv.w)

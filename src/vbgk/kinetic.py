@@ -22,12 +22,14 @@ a recorded state is handed out and at the end of the run.
 
 ``run`` allocates one workspace (``_Workspace``) and updates it in place:
 a copy of the state f, its moments w, two (3, n, n) flux buffers and the
-transform scratch of one mover.  Each substep is one in-place kernel,
-``_relax`` or ``_transport``.  Relaxation scales f by the decay factor and
-adds (1 - decay) * M_i(w) through ``model.add_maxwellians``, without building
+transform scratch of one mover, each buffer made by the first kernel that
+needs it.  Each substep is one in-place kernel, ``_relax`` or
+``_transport``.  Relaxation scales f by the decay factor and adds
+(1 - decay) * M_i(w) through ``model.add_maxwellians``, without building
 the (5, 3, n, n) Maxwellian stack.  ``relaxation_step`` and
 ``transport_step`` copy their input into a fresh workspace and call the same
-kernels, so each substep has one implementation.  One copy per record:
+kernels, so each substep has one implementation; a transport-only
+workspace holds no moments or flux buffers.  One copy per record:
 on_record receives the workspace's state buffer itself, and once it returns
 the loop continues on a copy, the only full-state allocation inside the
 loop.  So no state handed out is written to afterwards, and the copy is not
@@ -103,21 +105,19 @@ _MOVERS = [(-2 if dx else -1, dx + dy) for dx, dy in VELOCITY_DIRECTIONS[:4].ast
 
 
 class _Workspace:
-    """The buffers of one run: the state f, its moments w and the kernels' scratch.
+    """The buffers of one run: the state f and the kernels' scratch.
 
-    The kernels below update f in place; _relax needs w = sum_i f_i, which it
-    conserves and transport does not.
+    The kernels below update f in place.  Each makes its scratch on first
+    use, so a workspace that only transports holds no moments and a spectral
+    run holds no upwind buffer.  _relax needs w = sum_i f_i: it makes w from f
+    the first time, after which w is conserved by relaxation and the caller
+    refreshes it after each transport.
     """
 
     def __init__(self, state: KineticState):
-        n = state.grid.n
         self.grid, self.params = state.grid, state.params
         self.f = state.f.copy()
-        self.w = self.f.sum(axis=0)
-        self.flux = np.empty((2, 3, n, n))
-        self.real = np.empty((3, n, n))
-        # one mover's coefficients along y, (3, n, n/2+1), or along x, (3, n/2+1, n)
-        self.coeffs = np.empty(3 * n * (n // 2 + 1), dtype=complex)
+        self.w = self.flux = self.real = self.coeffs = None
 
     def state(self) -> KineticState:
         return KineticState(grid=self.grid, params=self.params, f=self.f)
@@ -127,6 +127,9 @@ def _transport_spectral(ws: _Workspace, dt: float) -> None:
     n, p = ws.grid.n, ws.params
     s = p.lam * dt / p.epsilon
     shift = np.exp(-1j * s * np.arange(n // 2 + 1))
+    if ws.coeffs is None:
+        # one mover's coefficients along y, (3, n, n/2+1), or along x, (3, n/2+1, n)
+        ws.coeffs = np.empty(3 * n * (n // 2 + 1), dtype=complex)
     for f_i, (axis, sign) in zip(ws.f, _MOVERS):
         phase = shift if sign > 0 else shift.conj()
         if axis == -2:
@@ -143,6 +146,8 @@ def _transport_upwind(ws: _Workspace, dt: float) -> None:
     cfl = ws.params.lam * dt / (ws.params.epsilon * ws.grid.dx)
     if cfl > 1.0 + 1e-12:
         raise CflViolation(f"upwind CFL = {cfl:.4g} exceeds 1")
+    if ws.real is None:
+        ws.real = np.empty(ws.f.shape[1:])
     for f_i, (axis, sign) in zip(ws.f, _MOVERS):
         # f_i <- (1 - cfl)*f_i + cfl*(f_i rolled by sign along axis): positive
         # speed takes the backward neighbour
@@ -163,6 +168,9 @@ def _transport(ws: _Workspace, dt: float, mode: str) -> None:
 
 
 def _relax(ws: _Workspace, dt: float) -> None:
+    if ws.w is None:
+        ws.w = ws.f.sum(axis=0)
+        ws.flux = np.empty((2,) + ws.w.shape)
     rho = ws.w[0]
     rho_min = np.min(rho)
     if rho_min <= 0.0:

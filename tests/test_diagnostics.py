@@ -14,7 +14,7 @@ from vbgk.diagnostics import (
     relative_entropy_surrogate,
     to_relaxation_vars,
 )
-from vbgk.errors import NonPositiveError, TooFewPoints
+from vbgk.errors import NonPositiveDensity, NonPositiveError, TooFewPoints
 from vbgk.grid import Grid, l2_norm, sobolev_norm
 from vbgk.kinetic import relaxation_step
 from vbgk.model import KineticState, initial_kinetic_state, make_params, maxwellians
@@ -183,6 +183,14 @@ def test_relaxed_states_sit_on_manifold(grid32, params_default):
     dev_k, dev_h, _, _ = deviation_norms(to_relaxation_vars(out), grid32, params_default)
     assert dev_k <= 1e-10
     assert dev_h <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
+def test_deviations_reject_bad_density(grid32, params_default, bad):
+    rv = to_relaxation_vars(equilibrium_state(grid32, params_default))
+    rv.w[0, 3, 5] = bad
+    with pytest.raises(NonPositiveDensity):
+        deviation_norms(rv, grid32, params_default)
 
 
 # ---------------------------------------------------------------------------
