@@ -101,24 +101,24 @@ def to_spectral(grid: Grid, f: np.ndarray) -> np.ndarray:
 def spectral_derivative(grid: Grid, f: np.ndarray, axis: str, order: int = 1) -> np.ndarray:
     """Derivative of given order along 'x' or 'y' via (i k)^order multipliers.
 
-    The Nyquist mode k = n/2 is zeroed for odd orders so the result of
-    differentiating a real field stays real.
+    The multiplier depends on one wavenumber only, so one real 1D transform
+    along that axis and its inverse do the work of a 2D pair; f may be a
+    (..., n, n) stack.  The inverse real transform keeps only the real part
+    of the Nyquist coefficient k = n/2, so odd orders drop that mode and the
+    derivative of a real field stays real.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     if order < 1 or int(order) != order:
         raise ValueError(f"derivative order must be a positive integer, got {order}")
     f = grid.check_field(f)
-    k = grid.k1d.copy()
-    if order % 2 == 1:
-        k[grid.n // 2] = 0.0
-    factor = (1j * k) ** order
+    factor = (1j * np.arange(grid.n // 2 + 1)) ** order
+    along = -2 if axis == "x" else -1
     if axis == "x":
         factor = factor[:, None]
-    else:
-        factor = factor[None, :]
-    F = np.fft.fft2(f, axes=(-2, -1))
-    return np.real(np.fft.ifft2(F * factor, axes=(-2, -1)))
+    F = np.fft.rfft(f, axis=along)
+    F *= factor
+    return np.fft.irfft(F, n=grid.n, axis=along)
 
 
 def sobolev_norm(grid: Grid, f: np.ndarray, s: float) -> float:

@@ -88,6 +88,24 @@ def test_derivative_rejects_bad_args(grid32):
         spectral_derivative(grid32, f, "x", order=0)
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_derivative_of_stack_matches_2d_transform(axis, order):
+    # the (i k)^order multiplier applied to the full 2D transform, per field
+    g = Grid(16)
+    f = np.stack([random_field(60 + c, 16, amplitude=1.0 + c) for c in range(3)])
+    f += np.cos(8 * (g.x if axis == "x" else g.y))  # a Nyquist line
+    k = g.k1d.copy()
+    if order % 2 == 1:
+        k[8] = 0.0
+    factor = (1j * k) ** order
+    factor = factor[:, None] if axis == "x" else factor[None, :]
+    want = np.real(np.fft.ifft2(np.fft.fft2(f) * factor))
+    got = spectral_derivative(g, f, axis, order)
+    assert got.shape == f.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_norm_of_constant(grid32):
     one = np.ones((32, 32))
     assert l2_norm(grid32, one) == pytest.approx(1.0, abs=1e-13)
