@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridmod
-from .errors import NonPositiveDensity, NonPositiveError, TooFewPoints
+from .errors import NonPositiveError, TooFewPoints
 from .model import KineticState, ModelParams, _check_density, fluxes
 from .navier_stokes import NsState
 
@@ -51,32 +51,26 @@ def to_relaxation_vars(state: KineticState) -> RelaxationVars:
     )
 
 
-def macro_fields(state: KineticState) -> tuple[np.ndarray, np.ndarray]:
-    """Density rho and velocity u = (q1, q2)/(eps*rho) from the moments."""
-    w = state.w()
-    rho = w[0]
-    if np.min(rho) <= 0.0:
-        raise NonPositiveDensity(f"projected density min = {np.min(rho):.6g}")
-    u = w[1:] / (state.params.epsilon * rho)
-    return rho, u
+def _velocity(w: np.ndarray, params: ModelParams) -> np.ndarray:
+    return w[1:] / (params.epsilon * w[0])
 
 
-def error_functionals(state: KineticState, ref: NsState,
+def macro_fields(w: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Density rho (checked) and velocity u = (q1, q2)/(eps*rho) of the moments w."""
+    return _check_density(w[0]), _velocity(w, params)
+
+
+def error_functionals(rho: np.ndarray, u: np.ndarray, ref: NsState, params: ModelParams,
                       s_prime: float) -> tuple[float, float]:
-    """(e0, es) against a reference velocity field on the same grid."""
-    grid = state.grid
-    if ref.grid.n != grid.n:
-        raise gridmod.DimensionMismatch(
-            f"reference grid n={ref.grid.n} does not match state grid n={grid.n}"
-        )
-    p = state.params
-    rho, u = macro_fields(state)
-    rho_dev = rho - p.rho_bar
-    mom_dev = np.stack([rho * u[0] - p.rho_bar * ref.u1,
-                        rho * u[1] - p.rho_bar * ref.u2])
+    """(e0, es) of macro_fields' (rho, u) against a reference on the same grid."""
+    grid = ref.grid
+    grid.check_field(rho)
+    rho_dev = rho - params.rho_bar
+    mom_dev = np.stack([rho * u[0] - params.rho_bar * ref.u1,
+                        rho * u[1] - params.rho_bar * ref.u2])
     vel_dev = np.stack([u[0] - ref.u1, u[1] - ref.u2])
-    e0 = gridmod.l2_norm(grid, rho_dev) / p.epsilon + gridmod.l2_norm(grid, mom_dev)
-    es = (gridmod.sobolev_norm(grid, rho_dev, s_prime) / p.epsilon
+    e0 = gridmod.l2_norm(grid, rho_dev) / params.epsilon + gridmod.l2_norm(grid, mom_dev)
+    es = (gridmod.sobolev_norm(grid, rho_dev, s_prime) / params.epsilon
           + gridmod.sobolev_norm(grid, vel_dev, s_prime))
     return e0, es
 
@@ -103,14 +97,14 @@ def deviation_norms(rv: RelaxationVars, grid: gridmod.Grid,
     return dev_k, dev_h, dev_m, dev_xi
 
 
-def pressure_recovery(state: KineticState) -> np.ndarray:
-    """Mean-zero (rho^2 - rho_bar^2) / (2*rho_bar*eps^2)."""
-    p = state.params
-    rho = state.w()[0]
-    if np.min(rho) <= 0.0:
-        raise NonPositiveDensity(f"density min = {np.min(rho):.6g}")
-    field = (rho ** 2 - p.rho_bar ** 2) / (2.0 * p.rho_bar * p.epsilon ** 2)
+def _pressure_field(rho: np.ndarray, params: ModelParams) -> np.ndarray:
+    field = (rho ** 2 - params.rho_bar ** 2) / (2.0 * params.rho_bar * params.epsilon ** 2)
     return field - np.mean(field)
+
+
+def pressure_recovery(rho: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Mean-zero (rho^2 - rho_bar^2) / (2*rho_bar*eps^2) of a checked density rho."""
+    return _pressure_field(_check_density(rho), params)
 
 
 def pairing(f: np.ndarray, phi: np.ndarray) -> float:
@@ -143,12 +137,10 @@ def relative_entropy_surrogate(w: np.ndarray, w_ref: np.ndarray,
     return float(np.mean(dens))
 
 
-def bound_functional(state: KineticState) -> float:
-    """|rho - rho_bar|_inf / eps + |rho u|_inf, the quantity kept below M."""
-    p = state.params
-    w = state.w()
-    rho_dev = gridmod.linf_norm(w[0] - p.rho_bar) / p.epsilon
-    mom = gridmod.linf_norm(np.sqrt((w[1] / p.epsilon) ** 2 + (w[2] / p.epsilon) ** 2))
+def bound_functional(w: np.ndarray, params: ModelParams) -> float:
+    """|rho - rho_bar|_inf / eps + |rho u|_inf of the moments w, the quantity kept below M."""
+    rho_dev = gridmod.linf_norm(w[0] - params.rho_bar) / params.epsilon
+    mom = gridmod.linf_norm(np.sqrt((w[1] / params.epsilon) ** 2 + (w[2] / params.epsilon) ** 2))
     return rho_dev + mom
 
 
@@ -176,20 +168,23 @@ class DiagnosticsRecord:
 
 
 def compute_record(state: KineticState, ref: NsState, ref_pressure: np.ndarray,
-                   s_prime: float, t: float) -> DiagnosticsRecord:
+                   phis: dict[str, np.ndarray], s_prime: float, t: float) -> DiagnosticsRecord:
+    """One record against (ref, ref_pressure); phis is pressure_test_functions(grid).
+
+    w is summed once, and deviation_norms makes the record's one density check.
+    """
     grid = state.grid
     p = state.params
     rv = to_relaxation_vars(state)
-    e0, es = error_functionals(state, ref, s_prime)
     dev_k, dev_h, dev_m, dev_xi = deviation_norms(rv, grid, p)
     rho = rv.w[0]
+    e0, es = error_functionals(rho, _velocity(rv.w, p), ref, p, s_prime)
     w_ref = np.stack([
         np.full((grid.n, grid.n), p.rho_bar),
         p.epsilon * p.rho_bar * ref.u1,
         p.epsilon * p.rho_bar * ref.u2,
     ])
-    recovered = pressure_recovery(state)
-    phis = pressure_test_functions(grid)
+    recovered = _pressure_field(rho, p)
     return DiagnosticsRecord(
         t=t,
         e0=e0,
@@ -201,7 +196,7 @@ def compute_record(state: KineticState, ref: NsState, ref_pressure: np.ndarray,
         eta_surrogate=relative_entropy_surrogate(rv.w, w_ref, p),
         rho_min=float(np.min(rho)),
         rho_max=float(np.max(rho)),
-        sup_bound_functional=bound_functional(state),
+        sup_bound_functional=bound_functional(rv.w, p),
         pair_cos2x=pairing(recovered, phis["cos2x"]),
         pair_cos2y=pairing(recovered, phis["cos2y"]),
         pair_sinxsiny=pairing(recovered, phis["sinxsiny"]),

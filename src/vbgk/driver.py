@@ -127,13 +127,14 @@ def validate(cfg: RunConfig) -> ValidationReport:
     solver = solver_config(cfg)
     u0 = initial_velocity(cfg, grid)
     u_max = float(np.max(np.sqrt(u0[0] ** 2 + u0[1] ** 2)))
+    dt_relax, dt_transp = solver.dt_bounds(params, grid.dx)
     return ValidationReport(
         params=params,
         grid=grid,
         u0=u0,
         subchar=model.check_subcharacteristic(params, u_max),
-        dt_relax=cfg.c_relax * params.relaxation_time,
-        dt_transp=cfg.c_transp * params.epsilon * grid.dx / params.lam,
+        dt_relax=dt_relax,
+        dt_transp=dt_transp,
         dt=solver.base_dt(params, grid.dx),
     )
 
@@ -151,28 +152,30 @@ def validated(cfg: RunConfig) -> ValidationReport:
 class ReferenceTrajectory:
     """Reference flow evaluated at increasing times.
 
-    Taylor-Green data uses the closed form (zero reference error); file-based
-    data advances the pseudo-spectral solver from u0, the initial velocity
-    (2, n, n) the caller has read, between requested times.
+    Taylor-Green data uses the closed form (zero reference error).  Zero data
+    is one read-only rest state, handed out at every time (its t reads 0).
+    File-based data advances the pseudo-spectral solver from u0, the initial
+    velocity (2, n, n) the caller has read, between requested times.
     """
 
     def __init__(self, cfg: RunConfig, grid: Grid, u0: np.ndarray):
-        self._analytic = cfg.initial_data in ("taylor_green", "zero")
         self._cfg = cfg
         self._grid = grid
-        if not self._analytic:
+        if cfg.initial_data == "zero":
+            zero = np.zeros((grid.n, grid.n))
+            zero.setflags(write=False)
+            rest = navier_stokes.NsState(grid=grid, u1=zero, u2=zero, t=0.0, nu=cfg.nu)
+            self._rest = rest, zero
+        elif cfg.initial_data != "taylor_green":
             self._state = navier_stokes.NsState(
                 grid=grid, u1=u0[0], u2=u0[1], t=0.0, nu=cfg.nu)
             u_max = max(float(np.max(np.abs(u0))), 1e-8)
             self._dt_max = min(1e-3, 0.25 * grid.dx / u_max)
 
     def at(self, t: float) -> tuple[navier_stokes.NsState, np.ndarray]:
-        if self._analytic:
-            if self._cfg.initial_data == "zero":
-                zero = np.zeros((self._grid.n, self._grid.n))
-                state = navier_stokes.NsState(
-                    grid=self._grid, u1=zero, u2=zero.copy(), t=t, nu=self._cfg.nu)
-                return state, zero.copy()
+        if self._cfg.initial_data == "zero":
+            return self._rest
+        if self._cfg.initial_data == "taylor_green":
             return navier_stokes.taylor_green(self._grid, t, self._cfg.nu)
         self._state = navier_stokes.ns_advance(self._state, t, self._dt_max)
         return self._state, navier_stokes.pressure_from_velocity(self._state)
@@ -220,10 +223,11 @@ def run_simulation(cfg: RunConfig,
     records: list[diag.DiagnosticsRecord] = []
     captured: dict[float, model.KineticState] = {}
     pending = sorted(cfg.snapshot_times)
+    phis = diag.pressure_test_functions(grid)
 
     def on_record(t, state, step):
         ref_state, ref_p = reference.at(t)
-        records.append(diag.compute_record(state, ref_state, ref_p, cfg.s_prime, t))
+        records.append(diag.compute_record(state, ref_state, ref_p, phis, cfg.s_prime, t))
         # snapshots keyed by the actual record time reached
         while pending and t >= pending[0] - 1e-12:
             pending.pop(0)

@@ -89,13 +89,13 @@ class SolverConfig:
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
+    def dt_bounds(self, params, dx: float) -> tuple[float, float]:
+        """The automatic policy's relaxation and transport bounds on dt."""
+        return (self.c_relax * params.relaxation_time,
+                self.c_transp * params.epsilon * dx / params.lam)
+
     def base_dt(self, params, dx: float) -> float:
-        if self.dt is not None:
-            return self.dt
-        return min(
-            self.c_relax * params.relaxation_time,
-            self.c_transp * params.epsilon * dx / params.lam,
-        )
+        return self.dt if self.dt is not None else min(self.dt_bounds(params, dx))
 
 
 _NONPOSITIVE = "projected density non-positive before relaxation: min = {:.6g}"
@@ -109,9 +109,9 @@ class _Workspace:
 
     The kernels below update f in place.  Each makes its scratch on first
     use, so a workspace that only transports holds no moments and a spectral
-    run holds no upwind buffer.  _relax needs w = sum_i f_i: it makes w from f
-    the first time, after which w is conserved by relaxation and the caller
-    refreshes it after each transport.
+    run holds no upwind buffer.  Relaxation reads w = sum_i f_i, which the
+    caller sums before the first relaxation and again after each transport;
+    relaxation conserves it.
     """
 
     def __init__(self, state: KineticState):
@@ -167,17 +167,19 @@ def _transport(ws: _Workspace, dt: float, mode: str) -> None:
         raise ValueError(f"unknown transport mode {mode!r}")
 
 
-def _relax(ws: _Workspace, dt: float) -> None:
-    if ws.w is None:
-        ws.w = ws.f.sum(axis=0)
-        ws.flux = np.empty((2,) + ws.w.shape)
-    rho = ws.w[0]
+def _density_fault(rho: np.ndarray) -> str | None:
+    """Why relaxation cannot take the density rho, or None."""
     rho_min = np.min(rho)
     if rho_min <= 0.0:
-        raise NonPositiveDensity(_NONPOSITIVE.format(rho_min))
+        return _NONPOSITIVE.format(rho_min)
     # NaN compares false above; it and +inf propagate through the maximum
-    if not np.isfinite(np.max(rho)):
-        raise NonPositiveDensity("density contains non-finite values")
+    return None if np.isfinite(np.max(rho)) else "density contains non-finite values"
+
+
+def _relax(ws: _Workspace, dt: float) -> None:
+    """Relax ws.f over dt toward the Maxwellians of ws.w, whose density the caller checked."""
+    if ws.flux is None:
+        ws.flux = np.empty((2,) + ws.w.shape)
     decay = np.exp(-dt / ws.params.relaxation_time)
     ws.f *= decay
     add_maxwellians(ws.f, ws.w, 1.0 - decay, ws.params, ws.flux)
@@ -195,6 +197,10 @@ def transport_step(state: KineticState, dt: float, mode: str = "spectral") -> Ki
 def relaxation_step(state: KineticState, dt: float) -> KineticState:
     """Exact relaxation toward the local Maxwellians over time dt."""
     ws = _Workspace(state)
+    ws.w = ws.f.sum(axis=0)
+    fault = _density_fault(ws.w[0])
+    if fault is not None:
+        raise NonPositiveDensity(fault)
     _relax(ws, dt)
     return ws.state()
 
@@ -232,19 +238,22 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
     state nor any state handed to on_record is modified afterwards.
 
     The result equals a loop of strang_step up to round-off; the merged
-    half-relaxations are described in the module docstring.
+    half-relaxations are described in the module docstring.  The initial
+    density is checked once before the loop and the state after each
+    transport; relaxation conserves w, so it needs no check of its own.
     """
     if on_record is not None:
         on_record(0.0, state, 0)
     ws = _Workspace(state)
+    ws.w = ws.f.sum(axis=0)
+    fault = _density_fault(ws.w[0])
+    if fault is not None:
+        raise BlowupDetected(fault, 0.0)
     t_prev = 0.0
     step = 0
     owed = 0.0  # closing half-relaxation deferred from the previous step
     for step, t, dt, is_record in _time_grid(cfg, cfg.base_dt(state.params, state.grid.dx)):
-        try:
-            _relax(ws, owed + 0.5 * dt)
-        except NonPositiveDensity as exc:
-            raise BlowupDetected(str(exc), t_prev) from exc
+        _relax(ws, owed + 0.5 * dt)
         _transport(ws, dt, cfg.transport_mode)
         np.sum(ws.f, axis=0, out=ws.w)
         # NaN compares false, so a NaN density reaches the finiteness check

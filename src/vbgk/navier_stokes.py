@@ -7,6 +7,12 @@ Two paths are provided:
 * a vorticity-streamfunction pseudo-spectral solver (classical RK4 on the
   advection term with an exact integrating factor for diffusion and 2/3-rule
   dealiasing) for arbitrary divergence-free initial data.
+
+The substeps advance the vorticity coefficients i kx u2_hat - i ky u1_hat:
+ns_advance converts the velocity once, checks the advective CFL condition at
+each substep on the velocity its first RK4 stage builds, and forms the
+velocity and one (divergence-checked) NsState only at the target time.
+ns_step is that path with one substep.  The velocity has zero mean.
 """
 
 from __future__ import annotations
@@ -57,64 +63,50 @@ def taylor_green(grid: Grid, t: float, nu: float) -> tuple[NsState, np.ndarray]:
     return NsState(grid=grid, u1=u1, u2=u2, t=t, nu=nu), p
 
 
-def _dealias_mask(grid: Grid) -> np.ndarray:
-    cutoff = grid.n / 3.0
-    return (np.abs(grid.kx) <= cutoff) & (np.abs(grid.ky) <= cutoff)
-
-
-def _velocity_from_vorticity(grid: Grid, w_hat: np.ndarray):
+def _velocity(grid: Grid, w_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real velocity (u1, u2) of the vorticity coefficients w_hat."""
     ksq = grid.ksq.copy()
     ksq[0, 0] = 1.0
     psi_hat = w_hat / ksq
     psi_hat[0, 0] = 0.0
-    u1_hat = 1j * grid.ky * psi_hat
-    u2_hat = -1j * grid.kx * psi_hat
-    return u1_hat, u2_hat
+    return (np.real(np.fft.ifft2(1j * grid.ky * psi_hat)),
+            np.real(np.fft.ifft2(-1j * grid.kx * psi_hat)))
 
 
-def _advection(grid: Grid, w_hat: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """-dealias(u . grad(omega)) in spectral space."""
-    u1_hat, u2_hat = _velocity_from_vorticity(grid, w_hat)
-    u1 = np.real(np.fft.ifft2(u1_hat))
-    u2 = np.real(np.fft.ifft2(u2_hat))
+def _advection(grid: Grid, w_hat: np.ndarray, mask: np.ndarray, u=None) -> np.ndarray:
+    """-dealias(u . grad(omega)) in spectral space; u is the velocity of w_hat if known."""
+    u1, u2 = _velocity(grid, w_hat) if u is None else u
     wx = np.real(np.fft.ifft2(1j * grid.kx * w_hat))
     wy = np.real(np.fft.ifft2(1j * grid.ky * w_hat))
     rhs = np.fft.fft2(-(u1 * wx + u2 * wy))
     return rhs * mask
 
 
-def ns_step(state: NsState, dt: float) -> NsState:
-    """One integrating-factor RK4 step of the vorticity equation."""
+def _advance(state: NsState, dt: float, n_sub: int, t: float) -> NsState:
+    """n_sub integrating-factor RK4 substeps of size dt, as the state at time t."""
     grid = state.grid
-    u_max = max(linf_norm(state.u1), linf_norm(state.u2))
-    if u_max * dt / grid.dx > 1.0:
-        raise CflViolation(
-            f"advective CFL = {u_max * dt / grid.dx:.4g} exceeds 1"
-        )
-    mask = _dealias_mask(grid)
-    w_hat = np.fft.fft2(
-        np.real(np.fft.ifft2(1j * grid.kx * np.fft.fft2(state.u2)))
-        - np.real(np.fft.ifft2(1j * grid.ky * np.fft.fft2(state.u1)))
-    )
+    cutoff = grid.n / 3.0  # 2/3-rule dealiasing
+    mask = (np.abs(grid.kx) <= cutoff) & (np.abs(grid.ky) <= cutoff)
+    w_hat = 1j * grid.kx * np.fft.fft2(state.u2) - 1j * grid.ky * np.fft.fft2(state.u1)
     e_half = np.exp(-state.nu * grid.ksq * dt / 2.0)
     e_full = e_half ** 2
+    for _ in range(n_sub):
+        u = _velocity(grid, w_hat)
+        cfl = max(linf_norm(u[0]), linf_norm(u[1])) * dt / grid.dx
+        if cfl > 1.0:
+            raise CflViolation(f"advective CFL = {cfl:.4g} exceeds 1")
+        k1 = _advection(grid, w_hat, mask, u)
+        k2 = _advection(grid, e_half * (w_hat + 0.5 * dt * k1), mask)
+        k3 = _advection(grid, e_half * w_hat + 0.5 * dt * k2, mask)
+        k4 = _advection(grid, e_full * w_hat + dt * e_half * k3, mask)
+        w_hat = e_full * w_hat + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    u1, u2 = _velocity(grid, w_hat)
+    return NsState(grid=grid, u1=u1, u2=u2, t=t, nu=state.nu)
 
-    k1 = _advection(grid, w_hat, mask)
-    k2 = _advection(grid, e_half * (w_hat + 0.5 * dt * k1), mask)
-    k3 = _advection(grid, e_half * w_hat + 0.5 * dt * k2, mask)
-    k4 = _advection(grid, e_full * w_hat + dt * e_half * k3, mask)
-    w_new = e_full * w_hat + dt / 6.0 * (
-        e_full * k1 + 2.0 * e_half * (k2 + k3) + k4
-    )
 
-    u1_hat, u2_hat = _velocity_from_vorticity(grid, w_new)
-    return NsState(
-        grid=grid,
-        u1=np.real(np.fft.ifft2(u1_hat)),
-        u2=np.real(np.fft.ifft2(u2_hat)),
-        t=state.t + dt,
-        nu=state.nu,
-    )
+def ns_step(state: NsState, dt: float) -> NsState:
+    """One integrating-factor RK4 step of the vorticity equation."""
+    return _advance(state, dt, 1, state.t + dt)
 
 
 def ns_advance(state: NsState, t_target: float, dt_max: float) -> NsState:
@@ -125,10 +117,7 @@ def ns_advance(state: NsState, t_target: float, dt_max: float) -> NsState:
     if gap <= 1e-14:
         return state
     n_sub = max(1, int(np.ceil(gap / dt_max - 1e-12)))
-    dt = gap / n_sub
-    for _ in range(n_sub):
-        state = ns_step(state, dt)
-    return state
+    return _advance(state, gap / n_sub, n_sub, t_target)
 
 
 def pressure_from_velocity(state: NsState) -> np.ndarray:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from vbgk import driver, kinetic, snapshots
+from vbgk import driver, kinetic, navier_stokes, snapshots
 from vbgk.cli import main
+from vbgk.config import parse_config_text
 from vbgk.grid import Grid
 from vbgk.navier_stokes import taylor_green
 from vbgk.snapshots import read_snapshot, write_snapshot
@@ -204,6 +205,23 @@ def test_file_data_run_reads_snapshot_once(tmp_path, monkeypatch):
                     + f"initial_data = file:{path}\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(reads) == 1
+
+
+def test_file_reference_builds_one_state_per_request(tmp_path, monkeypatch):
+    # the substeps between two requested times stay in vorticity, so one
+    # request builds one NsState and runs one divergence check
+    g = Grid(32)
+    tg, _ = taylor_green(g, 0.0, 0.01)
+    path = tmp_path / "u0.vbgk"
+    write_snapshot(path, np.stack([tg.u1, tg.u2]), 0.0)
+    cfg = parse_config_text(BASE + f"initial_data = file:{path}\n")
+    reference = driver.ReferenceTrajectory(cfg, g, driver.initial_velocity(cfg, g))
+    checks = count_calls(monkeypatch, navier_stokes, "spectral_divergence")
+    state, _ = reference.at(0.0035)  # four substeps of at most 1e-3
+    assert len(checks) == 1
+    assert state.t == 0.0035
+    exact, _ = taylor_green(g, 0.0035, 0.01)
+    assert max(np.max(np.abs(state.u1 - exact.u1)), np.max(np.abs(state.u2 - exact.u2))) < 1e-12
 
 
 def test_sweep_invalid_member_fails_before_any_run(tmp_path, monkeypatch):

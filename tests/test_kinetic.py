@@ -302,6 +302,21 @@ def test_run_aborts_on_high_wavenumber_instability():
     assert 0.3 < exc_info.value.t_last_good < 0.6
 
 
+@pytest.mark.parametrize("rho, message", [
+    (0.0, "projected density non-positive before relaxation"),
+    (-0.1, "projected density non-positive before relaxation"),
+    (np.nan, "density contains non-finite values"),
+])
+def test_run_rejects_bad_initial_density(grid32, params_default, rho, message):
+    # the initial density is checked once, before the loop, with the messages
+    # of relaxation_step's check
+    f = equilibrium_state(grid32, params_default).f.copy()
+    f[4, 0, 2, 3] = rho - f[:4, 0, 2, 3].sum()
+    with pytest.raises(BlowupDetected, match=message) as exc_info:
+        run(KineticState(grid32, params_default, f), SolverConfig(t_end=0.1))
+    assert exc_info.value.t_last_good == 0.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("mode", ["spectral", "upwind"])
 def test_run_aborts_on_non_finite_momentum(grid32, params_default, mode, bad):

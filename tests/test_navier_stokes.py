@@ -71,6 +71,15 @@ def test_ns_step_cfl_guard(grid32):
         ns_step(s, 10.0)
 
 
+def test_ns_advance_cfl_guard(grid32):
+    # the guard applies to each substep: max|u| = 1, so CFL = dt/dx per substep
+    s = smooth_div_free_state(grid32, 5)
+    dt = 0.8 * grid32.dx
+    assert ns_advance(s, 4 * dt, dt).t == 4 * dt
+    with pytest.raises(CflViolation):
+        ns_advance(s, 2.2 * grid32.dx, 1.5 * grid32.dx)
+
+
 def test_ns_matches_taylor_green(grid32):
     s, _ = taylor_green(grid32, 0.0, 0.01)
     s = ns_advance(s, 0.1, 1e-3)
