@@ -56,7 +56,7 @@ def _velocity(w: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def macro_fields(w: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Density rho (checked) and velocity u = (q1, q2)/(eps*rho) of the moments w."""
+    """Density rho and velocity u = (q1, q2)/(eps*rho) of w; rejects a bad density."""
     return _check_density(w[0]), _velocity(w, params)
 
 
@@ -103,7 +103,7 @@ def _pressure_field(rho: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def pressure_recovery(rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Mean-zero (rho^2 - rho_bar^2) / (2*rho_bar*eps^2) of a checked density rho."""
+    """Mean-zero (rho^2 - rho_bar^2) / (2*rho_bar*eps^2); rejects a bad density."""
     return _pressure_field(_check_density(rho), params)
 
 

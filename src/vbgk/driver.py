@@ -216,8 +216,8 @@ def run_simulation(cfg: RunConfig,
     """
     report = validated(cfg) if report is None else report
     params, grid, u0 = report.params, report.grid, report.u0
-    # made before the run's other arrays: made after them, these three
-    # fields held a vortex_reference process's peak RSS about 0.75 MB higher
+    # made before the run's other arrays: made after them, the three test
+    # functions held a vortex_reference process's peak RSS about 0.75 MB higher
     phis = diag.pressure_test_functions(grid)
     state0 = model.initial_kinetic_state(grid, u0, params)
     reference = ReferenceTrajectory(cfg, grid, u0)
