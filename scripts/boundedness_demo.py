@@ -35,13 +35,13 @@ def main():
     cfg = RunConfig(epsilon=args.epsilon, tau=1.0, lam=args.lam, nu=0.01,
                     rho_bar=1.0, n=args.n, t_end=args.t_end, record_every=200)
     t0 = time.time()
-    out = driver.run_simulation(cfg)
+    report = driver.validated(cfg)
+    out = driver.run_simulation(cfg, report)
     wall = time.time() - t0
     threshold = 4.0 * cfg.rho_bar * out.u0_norm_s1
     if out.completed:
         sup = max(r.sup_bound_functional for r in out.records)
-        times, _ = kinetic.step_times(driver.solver_config(cfg), out.params,
-                                      driver.build_grid(cfg).dx)
+        times, _ = kinetic.step_times(report.solver, report.params, report.grid.dx)
         print(f"completed t_end = {cfg.t_end:g} in {wall:.0f}s ({len(times)} steps)")
         print(f"sup_t (|rho - rho_bar|_inf / eps + |rho u|_inf) = {sup:.4f}"
               f"  vs  M = {threshold:.2f}")

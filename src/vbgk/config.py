@@ -15,21 +15,6 @@ from .errors import ConfigError
 
 REQUIRED_KEYS = ("epsilon", "tau", "lambda", "nu", "rho_bar", "n", "t_end")
 
-_DEFAULTS = {
-    "dt_policy": "auto",
-    "dt": None,
-    "c_relax": 1.0,
-    "c_transp": 0.5,
-    "transport_mode": "spectral",
-    "record_every": 10,
-    "initial_data": "taylor_green",
-    "s": 3.5,
-    "s_prime": 2.0,
-    "output_dir": ".",
-    "snapshot_times": (),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     epsilon: float
@@ -39,8 +24,7 @@ class RunConfig:
     rho_bar: float
     n: int
     t_end: float
-    dt_policy: str = "auto"
-    dt: float | None = None
+    dt: float | None = None  # None: the automatic step (kinetic.SolverConfig)
     c_relax: float = 1.0
     c_transp: float = 0.5
     transport_mode: str = "spectral"
@@ -92,10 +76,6 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
             values[key] = _parse_float(key, value, lineno)
         elif key in ("n", "record_every"):
             values[key] = _parse_int(key, value, lineno)
-        elif key == "dt_policy":
-            if value not in ("auto", "fixed"):
-                raise ConfigError(f"dt_policy must be auto or fixed, got {value!r}", lineno)
-            values[key] = value
         elif key == "transport_mode":
             if value not in ("spectral", "upwind"):
                 raise ConfigError(
@@ -107,9 +87,6 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
             elif value.startswith("file:"):
                 values[key] = "file"
                 values["initial_data_path"] = value[len("file:"):].strip()
-            elif value.startswith("file(") and value.endswith(")"):
-                values[key] = "file"
-                values["initial_data_path"] = value[len("file("):-1].strip()
             else:
                 raise ConfigError(
                     f"initial_data must be taylor_green, zero or file:PATH, got {value!r}",
@@ -131,22 +108,14 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
     missing = [k for k in REQUIRED_KEYS if k not in values]
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
-    if "dt_policy" not in values and "dt" in values:
-        values["dt_policy"] = "fixed"
-    if values.get("dt_policy", "auto") == "fixed" and values.get("dt") is None:
-        raise ConfigError(f"{source}: dt_policy = fixed requires a dt key")
-    if values.get("dt_policy", "auto") == "auto" and values.get("dt") is not None:
-        raise ConfigError(f"{source}: dt given but dt_policy = auto")
 
     if "s" in values and not values["s"] > 0:
         raise ConfigError(f"s must be positive, got {values['s']}", seen["s"])
     if "s_prime" in values and not values["s_prime"] >= 0:
         raise ConfigError(f"s_prime must be >= 0, got {values['s_prime']}", seen["s_prime"])
 
-    merged = dict(_DEFAULTS)
-    merged.update(values)
-    merged["lam"] = merged.pop("lambda")
-    return RunConfig(**merged)
+    values["lam"] = values.pop("lambda")
+    return RunConfig(**values)
 
 
 def parse_config(path) -> RunConfig:

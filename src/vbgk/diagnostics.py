@@ -17,13 +17,13 @@ macroscopic fields against an incompressible reference solution:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import grid as gridmod
 from .errors import NonPositiveError, TooFewPoints
-from .model import KineticState, ModelParams, _check_density, fluxes
+from .model import KineticState, ModelParams, check_density, fluxes
 from .navier_stokes import NsState
 
 
@@ -57,7 +57,7 @@ def _velocity(w: np.ndarray, params: ModelParams) -> np.ndarray:
 
 def macro_fields(w: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Density rho and velocity u = (q1, q2)/(eps*rho) of w; rejects a bad density."""
-    return _check_density(w[0]), _velocity(w, params)
+    return check_density(w[0]), _velocity(w, params)
 
 
 def error_functionals(rho: np.ndarray, u: np.ndarray, ref: NsState, params: ModelParams,
@@ -84,7 +84,7 @@ def deviation_norms(rv: RelaxationVars, grid: gridmod.Grid,
     and the y-analogues for h and xi.  Rejects a non-positive or non-finite
     density of rv.w.
     """
-    _check_density(rv.w[0])
+    check_density(rv.w[0])
     a = params.a
     visc = params.tau * params.lam ** 2
     dev_k = gridmod.l2_norm(grid, rv.k - 2.0 * a * rv.w)
@@ -104,7 +104,7 @@ def _pressure_field(rho: np.ndarray, params: ModelParams) -> np.ndarray:
 
 def pressure_recovery(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     """Mean-zero (rho^2 - rho_bar^2) / (2*rho_bar*eps^2); rejects a bad density."""
-    return _pressure_field(_check_density(rho), params)
+    return _pressure_field(check_density(rho), params)
 
 
 def pairing(f: np.ndarray, phi: np.ndarray) -> float:
@@ -112,14 +112,17 @@ def pairing(f: np.ndarray, phi: np.ndarray) -> float:
     return float(np.mean(np.asarray(f) * np.asarray(phi)))
 
 
+#: fixed smooth test functions phi(x, y) of the weak-star pressure proxy, by name
+PRESSURE_TEST_FUNCTIONS = {
+    "cos2x": lambda x, y: np.cos(2 * x),
+    "cos2y": lambda x, y: np.cos(2 * y),
+    "sinxsiny": lambda x, y: np.sin(x) * np.sin(y),
+}
+
+
 def pressure_test_functions(grid: gridmod.Grid) -> dict[str, np.ndarray]:
-    """Fixed smooth test functions for the weak-star pressure proxy."""
-    x, y = grid.x, grid.y
-    return {
-        "cos2x": np.cos(2 * x),
-        "cos2y": np.cos(2 * y),
-        "sinxsiny": np.sin(x) * np.sin(y),
-    }
+    """PRESSURE_TEST_FUNCTIONS evaluated on grid."""
+    return {name: phi(grid.x, grid.y) for name, phi in PRESSURE_TEST_FUNCTIONS.items()}
 
 
 def relative_entropy_surrogate(w: np.ndarray, w_ref: np.ndarray,
@@ -146,7 +149,9 @@ def bound_functional(w: np.ndarray, params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """One row of the per-run time series."""
+    """One record of a run: a row of records.csv, whose columns are the float
+    fields in order (RECORD_COLUMNS), and the pairing errors
+    <recovered - p_ref, phi> keyed by the names of PRESSURE_TEST_FUNCTIONS."""
 
     t: float
     e0: float
@@ -159,12 +164,10 @@ class DiagnosticsRecord:
     rho_min: float
     rho_max: float
     sup_bound_functional: float
-    pair_cos2x: float
-    pair_cos2y: float
-    pair_sinxsiny: float
-    ref_pair_cos2x: float
-    ref_pair_cos2y: float
-    ref_pair_sinxsiny: float
+    pairing_error: dict[str, float]
+
+
+RECORD_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "pairing_error")
 
 
 def compute_record(state: KineticState, ref: NsState, ref_pressure: np.ndarray,
@@ -197,12 +200,8 @@ def compute_record(state: KineticState, ref: NsState, ref_pressure: np.ndarray,
         rho_min=float(np.min(rho)),
         rho_max=float(np.max(rho)),
         sup_bound_functional=bound_functional(rv.w, p),
-        pair_cos2x=pairing(recovered, phis["cos2x"]),
-        pair_cos2y=pairing(recovered, phis["cos2y"]),
-        pair_sinxsiny=pairing(recovered, phis["sinxsiny"]),
-        ref_pair_cos2x=pairing(ref_pressure, phis["cos2x"]),
-        ref_pair_cos2y=pairing(ref_pressure, phis["cos2y"]),
-        ref_pair_sinxsiny=pairing(ref_pressure, phis["sinxsiny"]),
+        pairing_error={name: pairing(recovered, phi) - pairing(ref_pressure, phi)
+                       for name, phi in phis.items()},
     )
 
 

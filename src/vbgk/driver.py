@@ -23,13 +23,11 @@ from .errors import (
 from .grid import Grid, sobolev_norm
 from .model import ModelParams
 
-RECORDS_HEADER = ("t,e0,es,dev_k,dev_h,dev_m,dev_xi,eta_surrogate,"
-                  "rho_min,rho_max,sup_bound_functional")
-
-STUDY_HEADER = ("epsilon,sup_e0,sup_es,sup_dev_k,sup_dev_h,sup_dev_m,sup_dev_xi,"
-                "press_err_cos2x,press_err_cos2y,press_err_sinxsiny")
-
+#: records.csv columns whose sup over a run is fitted against epsilon
 RATE_FUNCTIONALS = ("e0", "es", "dev_k", "dev_h", "dev_m", "dev_xi")
+
+STUDY_HEADER = ",".join(["epsilon"] + [f"sup_{name}" for name in RATE_FUNCTIONALS]
+                        + [f"press_err_{phi}" for phi in diag.PRESSURE_TEST_FUNCTIONS])
 
 
 def fmt(x: float) -> str:
@@ -51,7 +49,7 @@ def solver_config(cfg: RunConfig) -> kinetic.SolverConfig:
     try:
         return kinetic.SolverConfig(
             t_end=cfg.t_end,
-            dt=cfg.dt if cfg.dt_policy == "fixed" else None,
+            dt=cfg.dt,
             c_relax=cfg.c_relax,
             c_transp=cfg.c_transp,
             transport_mode=cfg.transport_mode,
@@ -78,15 +76,13 @@ def initial_velocity(cfg: RunConfig, grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Checks of one config, with the grid and initial velocity u0 they read."""
+    """Checks of one config, with the grid, initial velocity u0 and solver they read."""
 
     params: ModelParams
     grid: Grid
     u0: np.ndarray
     subchar: model.SubcharacteristicReport
-    dt_relax: float
-    dt_transp: float
-    dt: float
+    solver: kinetic.SolverConfig
 
     @property
     def passed(self) -> bool:
@@ -103,6 +99,7 @@ class ValidationReport:
         return self.params.nu / self.params.tau > self.subchar.max_char_speed ** 2
 
     def lines(self) -> list[str]:
+        dt_relax, dt_transp = self.solver.dt_bounds(self.params, self.grid.dx)
         return [
             f"a = {self.params.a:.6g}  (nu/(2*lambda^2*tau), must lie in (0, 0.25))",
             f"subcharacteristic: {'PASS' if self.subchar.passed else 'FAIL'}"
@@ -115,8 +112,8 @@ class ValidationReport:
             f"diffusive condition nu/tau = {self.params.nu / self.params.tau:.6g}"
             f" vs (max characteristic speed)^2 = {self.subchar.max_char_speed ** 2:.6g}"
             f": {'OK' if self.dissipative else 'VIOLATED'} (informational)",
-            f"dt policy: relaxation bound {self.dt_relax:.6g}, "
-            f"transport bound {self.dt_transp:.6g}, dt = {self.dt:.6g}",
+            f"dt policy: relaxation bound {dt_relax:.6g}, transport bound {dt_transp:.6g}"
+            f", dt = {self.solver.base_dt(self.params, self.grid.dx):.6g}",
         ]
 
 
@@ -127,15 +124,12 @@ def validate(cfg: RunConfig) -> ValidationReport:
     solver = solver_config(cfg)
     u0 = initial_velocity(cfg, grid)
     u_max = float(np.max(np.sqrt(u0[0] ** 2 + u0[1] ** 2)))
-    dt_relax, dt_transp = solver.dt_bounds(params, grid.dx)
     return ValidationReport(
         params=params,
         grid=grid,
         u0=u0,
         subchar=model.check_subcharacteristic(params, u_max),
-        dt_relax=dt_relax,
-        dt_transp=dt_transp,
-        dt=solver.base_dt(params, grid.dx),
+        solver=solver,
     )
 
 
@@ -183,10 +177,7 @@ class ReferenceTrajectory:
 
 @dataclass
 class SimulationOutput:
-    cfg: RunConfig
-    params: ModelParams
     records: list[diag.DiagnosticsRecord]
-    final_state: model.KineticState | None
     error: Exception | None
     u0_norm_s1: float
     snapshots: dict[float, model.KineticState]
@@ -200,9 +191,7 @@ class SimulationOutput:
 
     def mean_pairing_error(self, phi: str) -> float:
         """Time-averaged pairing mismatch |<recovered - p_ref, phi>|."""
-        vals = [getattr(r, f"pair_{phi}") - getattr(r, f"ref_pair_{phi}")
-                for r in self.records]
-        return abs(float(np.mean(vals)))
+        return abs(float(np.mean([r.pairing_error[phi] for r in self.records])))
 
 
 def run_simulation(cfg: RunConfig,
@@ -236,16 +225,12 @@ def run_simulation(cfg: RunConfig,
             captured[t] = state
 
     error = None
-    final_state = None
     try:
-        final_state = kinetic.run(state0, solver_config(cfg), on_record)
+        kinetic.run(state0, report.solver, on_record)
     except (BlowupDetected, NonPositiveDensity) as exc:
         error = exc
     return SimulationOutput(
-        cfg=cfg,
-        params=params,
         records=records,
-        final_state=final_state,
         error=error,
         u0_norm_s1=u0_norm_s1,
         snapshots=captured,
@@ -253,12 +238,9 @@ def run_simulation(cfg: RunConfig,
 
 
 def write_records_csv(records, path) -> None:
-    lines = [RECORDS_HEADER]
+    lines = [",".join(diag.RECORD_COLUMNS)]
     for r in records:
-        lines.append(",".join(fmt(v) for v in (
-            r.t, r.e0, r.es, r.dev_k, r.dev_h, r.dev_m, r.dev_xi,
-            r.eta_surrogate, r.rho_min, r.rho_max, r.sup_bound_functional,
-        )))
+        lines.append(",".join(fmt(getattr(r, name)) for name in diag.RECORD_COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -284,21 +266,12 @@ class SweepOutput:
     fits: dict[str, diag.ConvergenceStudyResult]
     failures: dict[float, str]
 
-    @property
-    def completed(self) -> bool:
-        return not self.failures
-
 
 def _study_row(eps: float, output: SimulationOutput) -> str:
+    """The study.csv row of one member, in STUDY_HEADER's order."""
     return ",".join(fmt(v) for v in (
-        eps,
-        output.sup("e0"), output.sup("es"),
-        output.sup("dev_k"), output.sup("dev_h"),
-        output.sup("dev_m"), output.sup("dev_xi"),
-        output.mean_pairing_error("cos2x"),
-        output.mean_pairing_error("cos2y"),
-        output.mean_pairing_error("sinxsiny"),
-    ))
+        [eps] + [output.sup(name) for name in RATE_FUNCTIONALS]
+        + [output.mean_pairing_error(phi) for phi in diag.PRESSURE_TEST_FUNCTIONS]))
 
 
 def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
@@ -355,12 +328,9 @@ def rates_report(cfg: RunConfig, fits, runs, ok_epsilons, failures) -> str:
         "pressure pairing mismatch, time-averaged |<recovered - p_ref, phi>|:",
     ]
     for eps in ok_epsilons:
-        out = runs[eps]
-        lines.append(
-            f"  eps = {eps:<8g} cos2x {out.mean_pairing_error('cos2x'):.6e}"
-            f"  cos2y {out.mean_pairing_error('cos2y'):.6e}"
-            f"  sinxsiny {out.mean_pairing_error('sinxsiny'):.6e}"
-        )
+        lines.append(f"  eps = {eps:<8g} " + "  ".join(
+            f"{phi} {runs[eps].mean_pairing_error(phi):.6e}"
+            for phi in diag.PRESSURE_TEST_FUNCTIONS))
     if failures:
         lines.append("")
         for eps, msg in failures.items():

@@ -57,8 +57,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupDetected, CflViolation, NonPositiveDensity
-from .model import VELOCITY_DIRECTIONS, KineticState, add_maxwellians
+from .errors import BlowupDetected, CflViolation
+from .model import (
+    VELOCITY_DIRECTIONS,
+    KineticState,
+    add_maxwellians,
+    check_density,
+    density_fault,
+)
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,6 @@ class SolverConfig:
     def base_dt(self, params, dx: float) -> float:
         return self.dt if self.dt is not None else min(self.dt_bounds(params, dx))
 
-
-_NONPOSITIVE = "projected density non-positive before relaxation: min = {:.6g}"
 
 # f_1..f_4 as (axis of motion, sign of velocity along it); axes: x is -2, y is -1
 _MOVERS = [(-2 if dx else -1, dx + dy) for dx, dy in VELOCITY_DIRECTIONS[:4].astype(int)]
@@ -167,20 +171,16 @@ def _transport(ws: _Workspace, dt: float, mode: str) -> None:
         raise ValueError(f"unknown transport mode {mode!r}")
 
 
-def _density_fault(rho: np.ndarray) -> str | None:
-    """Why relaxation cannot take the density rho, or None."""
-    rho_min = np.min(rho)
-    if rho_min <= 0.0:
-        return _NONPOSITIVE.format(rho_min)
-    # NaN compares false above; it and +inf propagate through the maximum
-    return None if np.isfinite(np.max(rho)) else "density contains non-finite values"
+def relaxation_decay(h: float, params) -> float:
+    """exp(-h/(tau*eps^2)), the weight relaxation over time h leaves on f."""
+    return np.exp(-h / params.relaxation_time)
 
 
 def _relax(ws: _Workspace, dt: float) -> None:
     """Relax ws.f over dt toward the Maxwellians of ws.w, whose density the caller checked."""
     if ws.flux is None:
         ws.flux = np.empty((2,) + ws.w.shape)
-    decay = np.exp(-dt / ws.params.relaxation_time)
+    decay = relaxation_decay(dt, ws.params)
     ws.f *= decay
     add_maxwellians(ws.f, ws.w, 1.0 - decay, ws.params, ws.flux)
 
@@ -198,9 +198,7 @@ def relaxation_step(state: KineticState, dt: float) -> KineticState:
     """Exact relaxation toward the local Maxwellians over time dt."""
     ws = _Workspace(state)
     ws.w = ws.f.sum(axis=0)
-    fault = _density_fault(ws.w[0])
-    if fault is not None:
-        raise NonPositiveDensity(fault)
+    check_density(ws.w[0])
     _relax(ws, dt)
     return ws.state()
 
@@ -246,7 +244,7 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
         on_record(0.0, state, 0)
     ws = _Workspace(state)
     ws.w = ws.f.sum(axis=0)
-    fault = _density_fault(ws.w[0])
+    fault = density_fault(ws.w[0])
     if fault is not None:
         raise BlowupDetected(fault, 0.0)
     t_prev = 0.0
@@ -255,14 +253,13 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
     for step, t, dt, is_record in _time_grid(cfg, cfg.base_dt(state.params, state.grid.dx)):
         _relax(ws, owed + 0.5 * dt)
         _transport(ws, dt, cfg.transport_mode)
-        np.sum(ws.f, axis=0, out=ws.w)
-        # NaN compares false, so a NaN density reaches the finiteness check
-        rho_min = np.min(ws.w[0])
-        if rho_min <= 0.0:
-            raise BlowupDetected(_NONPOSITIVE.format(rho_min), t_prev)
         # NaN and inf propagate through the extrema, so two reductions find both
         if not (np.isfinite(np.max(ws.f)) and np.isfinite(np.min(ws.f))):
             raise BlowupDetected("non-finite values in kinetic state", t_prev)
+        np.sum(ws.f, axis=0, out=ws.w)
+        fault = density_fault(ws.w[0])
+        if fault is not None:
+            raise BlowupDetected(fault, t_prev)
         owed = 0.5 * dt
         if is_record:
             _relax(ws, owed)

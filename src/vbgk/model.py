@@ -83,12 +83,21 @@ def make_params(epsilon, tau, lam, nu, rho_bar) -> ModelParams:
                        nu=float(nu), rho_bar=float(rho_bar))
 
 
-def _check_density(rho) -> np.ndarray:
+def density_fault(rho) -> str | None:
+    """Why rho is not a valid density (finite and > 0 everywhere), or None."""
+    rho_min = np.min(rho)
+    if rho_min <= 0.0:
+        return f"density must be positive, min = {rho_min:.6g}"
+    # NaN compares false above; it and +inf propagate through the maximum
+    return None if np.isfinite(np.max(rho)) else "density contains non-finite values"
+
+
+def check_density(rho) -> np.ndarray:
+    """rho as a float array; raises NonPositiveDensity with its density_fault."""
     rho = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(rho)):
-        raise NonPositiveDensity("density contains non-finite values")
-    if np.min(rho) <= 0.0:
-        raise NonPositiveDensity(f"density must be positive, min = {np.min(rho):.6g}")
+    fault = density_fault(rho)
+    if fault is not None:
+        raise NonPositiveDensity(fault)
     return rho
 
 
@@ -101,7 +110,7 @@ def _pressure_into(rho, params: ModelParams, out: np.ndarray) -> np.ndarray:
 
 def pressure(rho, params: ModelParams):
     """P(rho) = (rho^2 - rho_bar^2) / (2*rho_bar); rejects rho <= 0."""
-    rho = _check_density(rho)
+    rho = check_density(rho)
     out = _pressure_into(rho, params, np.empty(rho.shape))
     return float(out) if out.ndim == 0 else out
 
@@ -144,7 +153,7 @@ def flux(j: int, w: np.ndarray, params: ModelParams) -> np.ndarray:
     if j not in (1, 2):
         raise ValueError(f"flux index must be 1 or 2, got {j}")
     w = np.asarray(w, dtype=float)
-    _check_density(w[0])
+    check_density(w[0])
     return fluxes(w, params)[j - 1]
 
 
@@ -171,7 +180,7 @@ def add_maxwellians(f: np.ndarray, w: np.ndarray, scale: float, params: ModelPar
 def maxwellians(w: np.ndarray, params: ModelParams) -> np.ndarray:
     """All five Maxwellians, shape (5, 3, ...) for w of shape (3, ...)."""
     w = np.asarray(w, dtype=float)
-    _check_density(w[0])
+    check_density(w[0])
     m = np.zeros((5,) + w.shape)
     add_maxwellians(m, w, 1.0, params, np.empty((2,) + w.shape))
     return m
@@ -254,7 +263,7 @@ def flux_jacobian(j: int, w_points: np.ndarray, params: ModelParams) -> np.ndarr
         raise ValueError(f"flux index must be 1 or 2, got {j}")
     w_points = np.asarray(w_points, dtype=float).reshape(-1, 3)
     rho, q1, q2 = w_points[:, 0], w_points[:, 1], w_points[:, 2]
-    _check_density(rho)
+    check_density(rho)
     dp = pressure_derivative(rho, params)
     n = w_points.shape[0]
     jac = np.zeros((n, 3, 3))

@@ -12,7 +12,10 @@ The substeps advance the vorticity coefficients i kx u2_hat - i ky u1_hat:
 ns_advance converts the velocity once, checks the advective CFL condition at
 each substep on the velocity its first RK4 stage builds, and forms the
 velocity and one (divergence-checked) NsState only at the target time.
-ns_step is that path with one substep.  The velocity has zero mean.
+ns_step is that path with one substep.  The vorticity leaves out the mean
+velocity U, which is conserved on the torus: the substeps carry it from the
+initial state and add it to the streamfunction's velocity, so it advects the
+vorticity and the state at the target time keeps it.
 """
 
 from __future__ import annotations
@@ -63,19 +66,19 @@ def taylor_green(grid: Grid, t: float, nu: float) -> tuple[NsState, np.ndarray]:
     return NsState(grid=grid, u1=u1, u2=u2, t=t, nu=nu), p
 
 
-def _velocity(grid: Grid, w_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real velocity (u1, u2) of the vorticity coefficients w_hat."""
+def _velocity(grid: Grid, w_hat: np.ndarray, mean) -> tuple[np.ndarray, np.ndarray]:
+    """Real velocity (u1, u2) of the vorticity coefficients w_hat and mean velocity."""
     ksq = grid.ksq.copy()
     ksq[0, 0] = 1.0
     psi_hat = w_hat / ksq
     psi_hat[0, 0] = 0.0
-    return (np.real(np.fft.ifft2(1j * grid.ky * psi_hat)),
-            np.real(np.fft.ifft2(-1j * grid.kx * psi_hat)))
+    return (np.real(np.fft.ifft2(1j * grid.ky * psi_hat)) + mean[0],
+            np.real(np.fft.ifft2(-1j * grid.kx * psi_hat)) + mean[1])
 
 
-def _advection(grid: Grid, w_hat: np.ndarray, mask: np.ndarray, u=None) -> np.ndarray:
+def _advection(grid: Grid, w_hat: np.ndarray, mask: np.ndarray, mean, u=None) -> np.ndarray:
     """-dealias(u . grad(omega)) in spectral space; u is the velocity of w_hat if known."""
-    u1, u2 = _velocity(grid, w_hat) if u is None else u
+    u1, u2 = _velocity(grid, w_hat, mean) if u is None else u
     wx = np.real(np.fft.ifft2(1j * grid.kx * w_hat))
     wy = np.real(np.fft.ifft2(1j * grid.ky * w_hat))
     rhs = np.fft.fft2(-(u1 * wx + u2 * wy))
@@ -88,19 +91,20 @@ def _advance(state: NsState, dt: float, n_sub: int, t: float) -> NsState:
     cutoff = grid.n / 3.0  # 2/3-rule dealiasing
     mask = (np.abs(grid.kx) <= cutoff) & (np.abs(grid.ky) <= cutoff)
     w_hat = 1j * grid.kx * np.fft.fft2(state.u2) - 1j * grid.ky * np.fft.fft2(state.u1)
+    mean = (np.mean(state.u1), np.mean(state.u2))
     e_half = np.exp(-state.nu * grid.ksq * dt / 2.0)
     e_full = e_half ** 2
     for _ in range(n_sub):
-        u = _velocity(grid, w_hat)
+        u = _velocity(grid, w_hat, mean)
         cfl = max(linf_norm(u[0]), linf_norm(u[1])) * dt / grid.dx
         if cfl > 1.0:
             raise CflViolation(f"advective CFL = {cfl:.4g} exceeds 1")
-        k1 = _advection(grid, w_hat, mask, u)
-        k2 = _advection(grid, e_half * (w_hat + 0.5 * dt * k1), mask)
-        k3 = _advection(grid, e_half * w_hat + 0.5 * dt * k2, mask)
-        k4 = _advection(grid, e_full * w_hat + dt * e_half * k3, mask)
+        k1 = _advection(grid, w_hat, mask, mean, u)
+        k2 = _advection(grid, e_half * (w_hat + 0.5 * dt * k1), mask, mean)
+        k3 = _advection(grid, e_half * w_hat + 0.5 * dt * k2, mask, mean)
+        k4 = _advection(grid, e_full * w_hat + dt * e_half * k3, mask, mean)
         w_hat = e_full * w_hat + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    u1, u2 = _velocity(grid, w_hat)
+    u1, u2 = _velocity(grid, w_hat, mean)
     return NsState(grid=grid, u1=u1, u2=u2, t=t, nu=state.nu)
 
 

@@ -4,8 +4,9 @@ Linearized relaxation sends f to P f, where block (i, j) of the 15x15
 projection P is dM_i/dw (`model.maxwellian_jacobians`, which sum to I), so
 Fourier mode k evolves by L(k) = (P - I)/(tau*eps^2) - i diag(k.c_i)/eps,
 and one Strang cycle by R(dt/2) T(dt) R(dt/2) with the exact relaxation
-R(h) = P + exp(-h/(tau*eps^2)) (I - P).  Spectra are taken for all modes in
-one batched call.
+R(h) = P + exp(-h/(tau*eps^2)) (I - P), whose decay factor is the
+stepper's own (`kinetic.relaxation_decay`).  Spectra are taken for all modes
+in one batched call.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Grid
-from .kinetic import SolverConfig
+from .kinetic import SolverConfig, relaxation_decay
 from .model import VELOCITY_DIRECTIONS, ModelParams, maxwellian_jacobians
 
 
@@ -54,7 +55,7 @@ def strang_radius(params: ModelParams, grid: Grid,
     """
     dt = cfg.base_dt(params, grid.dx)
     proj = _projection(params)
-    decay = np.exp(-dt / (2 * params.relaxation_time))
+    decay = relaxation_decay(dt / 2, params)
     relax_half = proj + decay * (np.eye(15) - proj)
     k = np.stack(np.meshgrid(np.sort(grid.k1d), grid.k1d, indexing="ij"), axis=-1).reshape(-1, 2)
     radii = []

@@ -1,11 +1,14 @@
-"""The functions bench/child.py wraps for its traced spans exist in the package.
+"""What the benchmark under bench/ calls in the package still works.
 
 `bench/run.py --trace 1` looks every span target up by name; this loads
 bench/child.py by path and runs its install_spans against a stand-in tracer,
 so a rename in src/ that would break the traced benchmark fails here.
+bench/workloads.py counts each workload's steps through the config parser,
+the driver's builders and kinetic.step_times; the counts are pinned too.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,11 +28,23 @@ class LookupTracer:
         pass
 
 
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_span_targets_exist():
-    spec = importlib.util.spec_from_file_location("bench_child", ROOT / "bench" / "child.py")
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
+    child = load_bench_module("child")
     tracer = LookupTracer()
     child.install_spans(tracer)
     assert "diagnostics.compute_record" in tracer.names
     assert "driver.ReferenceTrajectory.at" in tracer.names
+
+
+def test_bench_workload_step_counts():
+    workloads = load_bench_module("workloads").WORKLOADS
+    steps = {name: workload.steps() for name, workload in workloads.items()}
+    assert steps == {"bounded_spectral": 1019, "sweep_upwind": 1529, "vortex_reference": 41}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -164,11 +166,14 @@ def test_sweep_small_real_study(tmp_path):
                  "--out", str(tmp_path / "sw")])
     assert code == 0
     study = (tmp_path / "sw" / "study.csv").read_text().splitlines()
-    assert study[0].startswith("epsilon,sup_e0,sup_es")
+    assert study[0] == ("epsilon,sup_e0,sup_es,sup_dev_k,sup_dev_h,sup_dev_m,sup_dev_xi,"
+                        "press_err_cos2x,press_err_cos2y,press_err_sinxsiny")
     assert len(study) == 4
     eps_col = [float(r.split(",")[0]) for r in study[1:]]
     assert eps_col == sorted(eps_col, reverse=True)
-    assert (tmp_path / "sw" / "rates.txt").exists()
+    rates = (tmp_path / "sw" / "rates.txt").read_text().splitlines()
+    pairing_line = r"  eps = 0\.2 {6}cos2x \S+e\S+  cos2y \S+e\S+  sinxsiny \S+e\S+"
+    assert any(re.fullmatch(pairing_line, line) for line in rates)
     assert (tmp_path / "sw" / "eps_0.2" / "records.csv").exists()
 
 

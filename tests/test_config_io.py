@@ -25,7 +25,7 @@ def test_parse_good_config():
     assert cfg.epsilon == 0.1
     assert cfg.lam == 2.0
     assert cfg.n == 64
-    assert cfg.dt_policy == "auto" and cfg.dt is None
+    assert cfg.dt is None
     assert cfg.record_every == 10
     assert cfg.initial_data == "taylor_green"
     assert cfg.s == 3.5  # default
@@ -64,27 +64,21 @@ def test_parse_missing_required_keys():
 
 
 def test_parse_fixed_dt_policy():
-    cfg = parse_config_text(GOOD + "\ndt_policy = fixed\ndt = 1e-3\n")
-    assert cfg.dt_policy == "fixed" and cfg.dt == 1e-3
-    # dt alone implies the fixed policy
-    cfg2 = parse_config_text(GOOD + "\ndt = 1e-3\n")
-    assert cfg2.dt_policy == "fixed"
-    with pytest.raises(ConfigError):
-        parse_config_text(GOOD + "\ndt_policy = fixed\n")
-    with pytest.raises(ConfigError):
-        parse_config_text(GOOD + "\ndt_policy = auto\ndt = 1e-3\n")
+    # dt alone fixes the step; there is no dt_policy key
+    assert parse_config_text(GOOD + "\ndt = 1e-3\n").dt == 1e-3
+    with pytest.raises(ConfigError, match="unknown key 'dt_policy'") as exc_info:
+        parse_config_text(GOOD + "\ndt_policy = fixed\ndt = 1e-3\n")
+    assert exc_info.value.line == len(GOOD.splitlines()) + 2
 
 
 def test_parse_initial_data_forms(tmp_path):
     cfg = parse_config_text(GOOD.replace("initial_data = taylor_green",
                                          "initial_data = file:u0.vbgk"))
     assert cfg.initial_data == "file" and cfg.initial_data_path == "u0.vbgk"
-    cfg2 = parse_config_text(GOOD.replace("initial_data = taylor_green",
-                                          "initial_data = file(u0.vbgk)"))
-    assert cfg2.initial_data_path == "u0.vbgk"
-    with pytest.raises(ConfigError):
-        parse_config_text(GOOD.replace("initial_data = taylor_green",
-                                       "initial_data = vortex"))
+    for bad in ("vortex", "file(u0.vbgk)"):
+        with pytest.raises(ConfigError):
+            parse_config_text(GOOD.replace("initial_data = taylor_green",
+                                           f"initial_data = {bad}"))
 
 
 def test_parse_snapshot_times():

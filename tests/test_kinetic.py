@@ -303,8 +303,8 @@ def test_run_aborts_on_high_wavenumber_instability():
 
 
 @pytest.mark.parametrize("rho, message", [
-    (0.0, "projected density non-positive before relaxation"),
-    (-0.1, "projected density non-positive before relaxation"),
+    (0.0, "density must be positive, min = 0"),
+    (-0.1, "density must be positive, min = -0.1"),
     (np.nan, "density contains non-finite values"),
 ])
 def test_run_rejects_bad_initial_density(grid32, params_default, rho, message):

@@ -88,6 +88,20 @@ def test_ns_matches_taylor_green(grid32):
     assert err < 1e-10
 
 
+def test_ns_carries_mean_flow(grid32):
+    # a uniform flow U is conserved on the torus and advects the vortex:
+    # u = U + u_TG(x - U t, t), and the pressure is p_TG(x - U t, t)
+    nu, t, mean = 0.1, 1.0, (0.5, -0.25)
+    s0, _ = taylor_green(grid32, 0.0, nu)
+    s = ns_advance(NsState(grid32, s0.u1 + mean[0], s0.u2 + mean[1], 0.0, nu), t, 1e-3)
+    x, y = grid32.x - mean[0] * t, grid32.y - mean[1] * t
+    decay = np.exp(-2.0 * nu * t)
+    assert linf_norm(s.u1 - mean[0] + np.cos(x) * np.sin(y) * decay) < 1e-12
+    assert linf_norm(s.u2 - mean[1] - np.sin(x) * np.cos(y) * decay) < 1e-12
+    p_exact = -0.25 * (np.cos(2 * x) + np.cos(2 * y)) * decay ** 2
+    assert linf_norm(pressure_from_velocity(s) - p_exact) < 1e-12
+
+
 def test_energy_never_increases(grid32):
     s = smooth_div_free_state(grid32, 8)
     for _ in range(40):
