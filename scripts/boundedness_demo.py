@@ -22,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vbgk import driver, kinetic
 from vbgk.config import RunConfig
+from vbgk.grid import sobolev_norm
 
 
 def main():
@@ -38,7 +39,7 @@ def main():
     report = driver.validated(cfg)
     out = driver.run_simulation(cfg, report)
     wall = time.time() - t0
-    threshold = 4.0 * cfg.rho_bar * out.u0_norm_s1
+    threshold = 4.0 * cfg.rho_bar * sobolev_norm(report.grid, report.u0, cfg.s + 1.0)
     if out.completed:
         sup = max(r.sup_bound_functional for r in out.records)
         times, _ = kinetic.step_times(report.solver, report.params, report.grid.dx)

@@ -82,6 +82,20 @@ class Grid:
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def rky(self) -> np.ndarray:
+        """Wavenumber along y of the rfft2 layout (ky >= 0), shape (1, n/2+1)."""
+        arr = np.arange(self.n // 2 + 1, dtype=float)[None, :]
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def rksq(self) -> np.ndarray:
+        """|k|^2 on the rfft2 layout, shape (n, n/2+1)."""
+        arr = self.kx ** 2 + self.rky ** 2
+        arr.setflags(write=False)
+        return arr
+
     def check_field(self, f: np.ndarray) -> np.ndarray:
         """Validate that f is a (..., n, n) array; returns it as float array."""
         f = np.asarray(f)
@@ -125,15 +139,19 @@ def sobolev_norm(grid: Grid, f: np.ndarray, s: float) -> float:
     """H^s norm under the normalized-measure convention.
 
     Accepts (n, n) scalar fields or (..., n, n) stacks, which are reduced
-    by root-sum-of-squares over the leading axes.
+    by root-sum-of-squares over the leading axes.  The sum runs over the
+    rfft2 coefficients: each interior ky column stands for itself and its
+    mirror -ky, so it counts twice; the ky = 0 and n/2 columns count once.
     """
     if s < 0:
         raise ValueError(f"Sobolev index must be >= 0, got {s}")
-    coeffs = to_spectral(grid, f)
-    power = np.abs(coeffs) ** 2
+    f = grid.check_field(f)
+    coeffs = np.fft.rfft2(f)
+    power = coeffs.real ** 2 + coeffs.imag ** 2
+    power[..., 1:grid.n // 2] *= 2.0
     if s != 0:
-        power = power * (1.0 + grid.ksq) ** s
-    return float(np.sqrt(np.sum(power)))
+        power *= (1.0 + grid.rksq) ** s
+    return float(np.sqrt(np.sum(power))) / grid.n ** 2
 
 
 def l2_norm(grid: Grid, f: np.ndarray) -> float:

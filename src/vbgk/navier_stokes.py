@@ -8,19 +8,34 @@ Two paths are provided:
   advection term with an exact integrating factor for diffusion and 2/3-rule
   dealiasing) for arbitrary divergence-free initial data.
 
-The substeps advance the vorticity coefficients i kx u2_hat - i ky u1_hat:
-ns_advance converts the velocity once, checks the advective CFL condition at
-each substep on the velocity its first RK4 stage builds, and forms the
-velocity and one (divergence-checked) NsState only at the target time.
-ns_step is that path with one substep.  The vorticity leaves out the mean
-velocity U, which is conserved on the torus: the substeps carry it from the
-initial state and add it to the streamfunction's velocity, so it advects the
-vorticity and the state at the target time keeps it.
+The solver works on real-transform (``rfft2``) coefficients, laid out
+(n, n/2 + 1).  A VorticityFlow holds the vorticity coefficients
+w_hat = i kx u2_hat - i ky u1_hat, the mean velocity U and the time.  Its
+substeps run in ``_evolve``, the one time-stepping kernel, and ``state()``
+forms the velocity (one stacked inverse transform) and one
+divergence-checked NsState.  ns_advance and ns_step convert a velocity
+state once, run the kernel and return one NsState; the driver's
+ReferenceTrajectory keeps a VorticityFlow from one record to the next, so a
+record converts only vorticity to velocity and pressure.
+
+Each RK4 stage takes one stacked inverse transform of (u1, u2, dw/dx, dw/dy),
+written into buffers made once per kernel call, and one forward transform of
+the advection product; the wavenumber tables are made once per grid.
+The advective CFL condition is checked on the velocity of the first stage of
+every substep.  The vorticity leaves out U, which is conserved on the torus:
+it is added to the streamfunction's velocity, so it advects the vorticity
+and the state keeps it.
+
+Derivatives of odd order (dw/dx, dw/dy, and d^2/dxdy in the pressure) drop
+the Nyquist row and column, as ``grid.spectral_derivative`` does; the maps
+between velocity and vorticity keep them, so converting a divergence-free
+velocity to vorticity and back returns it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,73 +81,155 @@ def taylor_green(grid: Grid, t: float, nu: float) -> tuple[NsState, np.ndarray]:
     return NsState(grid=grid, u1=u1, u2=u2, t=t, nu=nu), p
 
 
-def _velocity(grid: Grid, w_hat: np.ndarray, mean) -> tuple[np.ndarray, np.ndarray]:
-    """Real velocity (u1, u2) of the vorticity coefficients w_hat and mean velocity."""
-    ksq = grid.ksq.copy()
-    ksq[0, 0] = 1.0
-    psi_hat = w_hat / ksq
-    psi_hat[0, 0] = 0.0
-    return (np.real(np.fft.ifft2(1j * grid.ky * psi_hat)) + mean[0],
-            np.real(np.fft.ifft2(-1j * grid.kx * psi_hat)) + mean[1])
+@dataclass(frozen=True)
+class _Tables:
+    """Multipliers on the rfft2 layout: ikx (n, 1) and iky (1, n/2+1) are i k;
+    ddx and ddy are the same without the Nyquist row or column."""
+
+    ikx: np.ndarray
+    iky: np.ndarray
+    ddx: np.ndarray
+    ddy: np.ndarray
+    inv_lap: np.ndarray   # 1/|k|^2, and 0 at k = 0
+    neg_mask: np.ndarray  # -1 inside the 2/3 rule, 0 outside
 
 
-def _advection(grid: Grid, w_hat: np.ndarray, mask: np.ndarray, mean, u=None) -> np.ndarray:
-    """-dealias(u . grad(omega)) in spectral space; u is the velocity of w_hat if known."""
-    u1, u2 = _velocity(grid, w_hat, mean) if u is None else u
-    wx = np.real(np.fft.ifft2(1j * grid.kx * w_hat))
-    wy = np.real(np.fft.ifft2(1j * grid.ky * w_hat))
-    rhs = np.fft.fft2(-(u1 * wx + u2 * wy))
-    return rhs * mask
-
-
-def _advance(state: NsState, dt: float, n_sub: int, t: float) -> NsState:
-    """n_sub integrating-factor RK4 substeps of size dt, as the state at time t."""
-    grid = state.grid
+@lru_cache(maxsize=8)
+def _tables(grid: Grid) -> _Tables:
+    kx, ky, ksq = grid.kx, grid.rky, grid.rksq
+    inv_lap = np.zeros(ksq.shape)
+    np.divide(1.0, ksq, out=inv_lap, where=ksq > 0)
     cutoff = grid.n / 3.0  # 2/3-rule dealiasing
-    mask = (np.abs(grid.kx) <= cutoff) & (np.abs(grid.ky) <= cutoff)
-    w_hat = 1j * grid.kx * np.fft.fft2(state.u2) - 1j * grid.ky * np.fft.fft2(state.u1)
-    mean = (np.mean(state.u1), np.mean(state.u2))
-    e_half = np.exp(-state.nu * grid.ksq * dt / 2.0)
+    neg_mask = -((np.abs(kx) <= cutoff) & (ky <= cutoff)).astype(float)
+    nyquist = grid.n // 2
+    ddx, ddy = 1j * kx, 1j * ky
+    ddx[nyquist] = 0.0
+    ddy[:, nyquist] = 0.0
+    return _Tables(ikx=1j * kx, iky=1j * ky, ddx=ddx, ddy=ddy,
+                   inv_lap=inv_lap, neg_mask=neg_mask)
+
+
+def _velocity_coeffs(tab: _Tables, w_hat: np.ndarray, out: np.ndarray) -> None:
+    """(u1_hat, u2_hat) = (i ky, -i kx) psi_hat into out (2, n, n/2+1); psi_hat = w_hat/|k|^2."""
+    np.multiply(w_hat, tab.inv_lap, out=out[1])
+    np.multiply(out[1], tab.iky, out=out[0])
+    np.multiply(out[1], -tab.ikx, out=out[1])
+
+
+class _Stage:
+    """Scratch of one kernel call: the stacked coefficients and fields of an RK4 stage."""
+
+    def __init__(self, grid: Grid, mean):
+        n = grid.n
+        self.tab, self.mean = _tables(grid), mean
+        self.coeffs = np.empty((4, n, n // 2 + 1), dtype=complex)
+        self.fields = np.empty((4, n, n))
+
+    def advection(self, w_hat: np.ndarray) -> np.ndarray:
+        """-dealias(u . grad(omega)); fields[:2] keep the velocity u of w_hat."""
+        c, f, n = self.coeffs, self.fields, self.fields.shape[-1]
+        _velocity_coeffs(self.tab, w_hat, c)
+        np.multiply(w_hat, self.tab.ddx, out=c[2])
+        np.multiply(w_hat, self.tab.ddy, out=c[3])
+        # the inverse rfft2 as its two 1D transforms: numpy's irfft2 does not pass out= on
+        np.fft.ifft(c, axis=-2, out=c)
+        np.fft.irfft(c, n=n, axis=-1, out=f)
+        f[0] += self.mean[0]
+        f[1] += self.mean[1]
+        np.multiply(f[0], f[2], out=f[2])
+        np.multiply(f[1], f[3], out=f[3])
+        f[2] += f[3]
+        rhs = np.fft.rfft2(f[2])
+        rhs *= self.tab.neg_mask
+        return rhs
+
+
+def _evolve(grid: Grid, w_hat: np.ndarray, mean, nu: float, dt: float,
+            n_sub: int) -> np.ndarray:
+    """n_sub integrating-factor RK4 substeps of size dt; returns the advanced w_hat.
+
+    w_hat itself is not written to, so a CflViolation leaves the caller's flow
+    as it was.
+    """
+    stage = _Stage(grid, mean)
+    e_half = np.exp(-nu * grid.rksq * dt / 2.0)
     e_full = e_half ** 2
+    w = w_hat
     for _ in range(n_sub):
-        u = _velocity(grid, w_hat, mean)
-        cfl = max(linf_norm(u[0]), linf_norm(u[1])) * dt / grid.dx
+        k1 = stage.advection(w)
+        cfl = linf_norm(stage.fields[:2]) * dt / grid.dx
         if cfl > 1.0:
             raise CflViolation(f"advective CFL = {cfl:.4g} exceeds 1")
-        k1 = _advection(grid, w_hat, mask, mean, u)
-        k2 = _advection(grid, e_half * (w_hat + 0.5 * dt * k1), mask, mean)
-        k3 = _advection(grid, e_half * w_hat + 0.5 * dt * k2, mask, mean)
-        k4 = _advection(grid, e_full * w_hat + dt * e_half * k3, mask, mean)
-        w_hat = e_full * w_hat + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    u1, u2 = _velocity(grid, w_hat, mean)
-    return NsState(grid=grid, u1=u1, u2=u2, t=t, nu=state.nu)
+        k2 = stage.advection(e_half * (w + 0.5 * dt * k1))
+        k3 = stage.advection(e_half * w + 0.5 * dt * k2)
+        k4 = stage.advection(e_full * w + dt * e_half * k3)
+        w = e_full * w + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    return w
+
+
+class VorticityFlow:
+    """A flow as its rfft2 vorticity coefficients w_hat, mean velocity and time t."""
+
+    def __init__(self, state: NsState):
+        self.grid, self.nu, self.t = state.grid, state.nu, state.t
+        u_hat = np.fft.rfft2(np.stack([state.u1, state.u2]))
+        # the (0, 0) coefficients carry n^2 times the mean
+        self.mean = tuple(float(c) for c in u_hat[:, 0, 0].real / self.grid.n ** 2)
+        tab = _tables(self.grid)
+        self.w_hat = tab.ikx * u_hat[1] - tab.iky * u_hat[0]
+
+    def evolve(self, dt: float, n_sub: int, t: float) -> None:
+        """n_sub substeps of size dt, as the flow at time t."""
+        self.w_hat = _evolve(self.grid, self.w_hat, self.mean, self.nu, dt, n_sub)
+        self.t = t
+
+    def advance(self, t_target: float, dt_max: float) -> bool:
+        """Step to exactly t_target using uniform substeps no larger than dt_max.
+
+        Returns False, and leaves the flow alone, when t_target is within
+        1e-14 of t.
+        """
+        gap = t_target - self.t
+        if gap < -1e-12:
+            raise ValueError(f"cannot step backwards from t={self.t} to {t_target}")
+        if gap <= 1e-14:
+            return False
+        n_sub = max(1, int(np.ceil(gap / dt_max - 1e-12)))
+        self.evolve(gap / n_sub, n_sub, t_target)
+        return True
+
+    def state(self) -> NsState:
+        """The velocity at time t, one stacked inverse transform."""
+        n = self.grid.n
+        u_hat = np.empty((2, n, n // 2 + 1), dtype=complex)
+        _velocity_coeffs(_tables(self.grid), self.w_hat, u_hat)
+        u = np.fft.irfftn(u_hat, s=(n, n), axes=(-2, -1))
+        u[0] += self.mean[0]
+        u[1] += self.mean[1]
+        return NsState(grid=self.grid, u1=u[0], u2=u[1], t=self.t, nu=self.nu)
 
 
 def ns_step(state: NsState, dt: float) -> NsState:
     """One integrating-factor RK4 step of the vorticity equation."""
-    return _advance(state, dt, 1, state.t + dt)
+    flow = VorticityFlow(state)
+    flow.evolve(dt, 1, state.t + dt)
+    return flow.state()
 
 
 def ns_advance(state: NsState, t_target: float, dt_max: float) -> NsState:
     """Step to exactly t_target using uniform substeps no larger than dt_max."""
-    gap = t_target - state.t
-    if gap < -1e-12:
-        raise ValueError(f"cannot step backwards from t={state.t} to {t_target}")
-    if gap <= 1e-14:
-        return state
-    n_sub = max(1, int(np.ceil(gap / dt_max - 1e-12)))
-    return _advance(state, gap / n_sub, n_sub, t_target)
+    flow = VorticityFlow(state)
+    return flow.state() if flow.advance(t_target, dt_max) else state
 
 
 def pressure_from_velocity(state: NsState) -> np.ndarray:
     """Mean-zero p solving -lap(p) = div(div(u (x) u)), computed spectrally."""
-    grid = state.grid
-    t11 = np.fft.fft2(state.u1 * state.u1)
-    t12 = np.fft.fft2(state.u1 * state.u2)
-    t22 = np.fft.fft2(state.u2 * state.u2)
-    rhs = -(grid.kx ** 2 * t11 + 2.0 * grid.kx * grid.ky * t12 + grid.ky ** 2 * t22)
-    ksq = grid.ksq.copy()
-    ksq[0, 0] = 1.0
-    p_hat = rhs / ksq
-    p_hat[0, 0] = 0.0
-    return np.real(np.fft.ifft2(p_hat))
+    grid, tab = state.grid, _tables(state.grid)
+    u1, u2 = state.u1, state.u2
+    t_hat = np.fft.rfft2(np.stack([u1 * u1, u1 * u2, u2 * u2]))
+    t_hat[0] *= tab.ikx ** 2
+    t_hat[1] *= 2.0 * tab.ddx * tab.ddy
+    t_hat[2] *= tab.iky ** 2
+    p_hat = t_hat.sum(axis=0)
+    p_hat *= tab.inv_lap
+    return np.fft.irfft2(p_hat, s=(grid.n, grid.n))

@@ -38,7 +38,7 @@ import pytest
 from vbgk import driver
 from vbgk.config import RunConfig
 from vbgk.diagnostics import fit_rate
-from vbgk.grid import Grid, linf_norm
+from vbgk.grid import Grid, linf_norm, sobolev_norm
 from vbgk.kinetic import SolverConfig, relaxation_step, run, strang_step
 from vbgk.model import KineticState, flux, make_params, maxwellians
 from vbgk.navier_stokes import ns_step, taylor_green
@@ -197,9 +197,10 @@ def test_criterion_07_global_boundedness():
     cfg = RunConfig(epsilon=0.05, n=64, t_end=5.0, record_every=50, **DISSIPATIVE)
     assert_dissipative(cfg)
     t0 = time.time()
-    output = driver.run_simulation(cfg)
+    report = driver.validated(cfg)
+    output = driver.run_simulation(cfg, report)
     wall = time.time() - t0
-    threshold = 4.0 * cfg.rho_bar * output.u0_norm_s1
+    threshold = 4.0 * cfg.rho_bar * sobolev_norm(report.grid, report.u0, cfg.s + 1.0)
     sup = max(r.sup_bound_functional for r in output.records)
     ok = output.completed and sup < threshold and wall <= 600.0
     detail = f"sup {sup:.2f} vs M {threshold:.2f}, {wall:.0f}s"

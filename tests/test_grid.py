@@ -170,3 +170,14 @@ def test_interpolation_inequality(seed, pair):
     lhs = sobolev_norm(g, f, sp)
     rhs = sobolev_norm(g, f, 0.0) ** (1 - theta) * sobolev_norm(g, f, s) ** theta
     assert lhs <= rhs * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 3.5])
+def test_sobolev_norm_equals_full_fourier_sum(s):
+    # white-noise fields fill every mode, the Nyquist row and column included
+    g = Grid(16)
+    rng = np.random.default_rng(11)
+    for f in (rng.standard_normal((16, 16)), rng.standard_normal((2, 16, 16))):
+        coeffs = np.fft.fft2(f) / g.n ** 2
+        want = np.sqrt(np.sum(np.abs(coeffs) ** 2 * (1.0 + g.ksq) ** s))
+        assert sobolev_norm(g, f, s) == pytest.approx(want, rel=1e-13, abs=0)

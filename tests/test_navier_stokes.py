@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from vbgk import driver
+from vbgk.config import RunConfig
 from vbgk.errors import CflViolation, NotDivergenceFree
 from vbgk.grid import Grid, linf_norm, spectral_derivative, spectral_divergence
 from vbgk.navier_stokes import (
@@ -140,3 +142,58 @@ def test_pressure_matches_taylor_green(grid32):
     p = pressure_from_velocity(state)
     assert linf_norm(p - p_exact) < 1e-10
     assert abs(np.mean(p)) < 1e-15
+
+
+def file_reference(grid, state):
+    """The driver's reference for file initial data, started from state."""
+    cfg = RunConfig(epsilon=0.1, tau=1.0, lam=2.0, nu=state.nu, rho_bar=1.0, n=grid.n,
+                    t_end=1.0, initial_data="file", initial_data_path="unused.vbgk")
+    return driver.ReferenceTrajectory(cfg, grid, np.stack([state.u1, state.u2]))
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_reference_trajectory_matches_round_trip_chain(n):
+    # the trajectory keeps vorticity coefficients between requests; the chain
+    # converts each returned velocity back, as separate ns_advance calls do
+    g = Grid(n)
+    s0 = smooth_div_free_state(g, 21, nu=0.05)
+    reference = file_reference(g, s0)
+    dt_max = min(1e-3, 0.25 * g.dx)  # the trajectory's bound at max |u| = 1
+    chain = s0
+    for t in np.linspace(0.0, 0.03, 12)[1:]:
+        state, p = reference.at(float(t))
+        chain = ns_advance(chain, float(t), dt_max)
+        assert state.t == chain.t == t
+        assert relative_error(state.u1, chain.u1) < 1e-12
+        assert relative_error(state.u2, chain.u2) < 1e-12
+        assert relative_error(p, pressure_from_velocity(chain)) < 1e-12
+        chain = state
+
+
+def test_reference_trajectory_cfl_guard(grid32):
+    # the trajectory bounds its substeps at CFL 0.25 of the initial max |u| = 1;
+    # a bound of 2 dx puts every substep at CFL 2, which the guard rejects
+    s = smooth_div_free_state(grid32, 5)
+    reference = file_reference(grid32, s)
+    reference.at(1e-3)
+    bound, reference._dt_max = reference._dt_max, 2.0 * grid32.dx
+    with pytest.raises(CflViolation):
+        reference.at(1e-3 + 4.0 * grid32.dx)
+    # the failed request left the flow where it was
+    reference._dt_max = bound
+    state, _ = reference.at(2e-3)
+    fresh = file_reference(grid32, s)
+    fresh.at(1e-3)
+    want, _ = fresh.at(2e-3)
+    assert np.array_equal(state.u1, want.u1) and np.array_equal(state.u2, want.u2)
+
+
+def test_reference_trajectory_rejects_going_backwards(grid32):
+    reference = file_reference(grid32, smooth_div_free_state(grid32, 5))
+    reference.at(0.01)
+    with pytest.raises(ValueError, match="backwards"):
+        reference.at(0.005)
