@@ -55,14 +55,10 @@ def _velocity(w: np.ndarray, params: ModelParams) -> np.ndarray:
     return w[1:] / (params.epsilon * w[0])
 
 
-def macro_fields(w: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Density rho and velocity u = (q1, q2)/(eps*rho) of w; rejects a bad density."""
-    return check_density(w[0]), _velocity(w, params)
-
-
 def error_functionals(rho: np.ndarray, u: np.ndarray, ref: NsState, params: ModelParams,
                       s_prime: float) -> tuple[float, float]:
-    """(e0, es) of macro_fields' (rho, u) against a reference on the same grid."""
+    """(e0, es) of density rho and velocity u = (q1, q2)/(eps*rho) against a
+    reference on the same grid."""
     grid = ref.grid
     grid.check_field(rho)
     rho_dev = rho - params.rho_bar
@@ -100,11 +96,6 @@ def deviation_norms(rv: RelaxationVars, grid: gridmod.Grid,
 def _pressure_field(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     field = (rho ** 2 - params.rho_bar ** 2) / (2.0 * params.rho_bar * params.epsilon ** 2)
     return field - np.mean(field)
-
-
-def pressure_recovery(rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Mean-zero (rho^2 - rho_bar^2) / (2*rho_bar*eps^2); rejects a bad density."""
-    return _pressure_field(check_density(rho), params)
 
 
 def pairing(f: np.ndarray, phi: np.ndarray) -> float:

@@ -231,7 +231,8 @@ def run_simulation(cfg: RunConfig,
     try:
         kinetic.run(state0, report.solver, on_record)
     except (BlowupDetected, NonPositiveDensity) as exc:
-        error = exc
+        # kept without its traceback, whose frames hold the run's arrays
+        error = exc.with_traceback(None)
     return SimulationOutput(
         records=records,
         error=error,
@@ -285,9 +286,10 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     configs = {eps: cfg.with_epsilon(eps) for eps in epsilons}
-    # every member is checked before any member runs
+    # every member is checked before any member runs; a member's report, with
+    # its initial velocity, is dropped once that member has run
     reports = {eps: validated(sub) for eps, sub in configs.items()}
-    runs = {eps: run_simulation(configs[eps], reports[eps]) for eps in epsilons}
+    runs = {eps: run_simulation(configs[eps], reports.pop(eps)) for eps in epsilons}
     failures: dict[float, str] = {}
     for eps in epsilons:
         sub_dir = out_dir / f"eps_{eps:g}"
@@ -349,10 +351,9 @@ def reference_to_files(cfg: RunConfig, out_dir) -> list[float]:
     """cmd_reference body: reference snapshots + energy series at record times."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = build_params(cfg)
-    grid = build_grid(cfg)
-    _, times = kinetic.step_times(solver_config(cfg), params, grid.dx)
-    reference = ReferenceTrajectory(cfg, grid, initial_velocity(cfg, grid))
+    report = validate(cfg)
+    _, times = kinetic.step_times(report.solver, report.params, report.grid.dx)
+    reference = ReferenceTrajectory(cfg, report.grid, report.u0)
     rows = ["t,energy"]
     for i, t in enumerate(times):
         state, p = reference.at(t)

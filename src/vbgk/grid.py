@@ -4,11 +4,10 @@ Conventions used everywhere in the package:
 
 * fields are real ``(n, n)`` arrays; index ``(ix, iy)`` is the point
   ``(ix*dx, iy*dx)``, so the x coordinate varies along axis 0;
-* Fourier coefficients carry the ``1/n^2`` normalization, so the
-  ``(0, 0)`` coefficient is the mean of the field;
 * norms use the normalized measure on the torus (divide by ``(2pi)^2``),
   so the constant field 1 has unit L2 norm and Parseval reads
-  ``sum_k |f_hat_k|^2 = mean(f^2)``;
+  ``sum_k |f_hat_k|^2 = mean(f^2)``, where ``f_hat = fft2(f) / n^2`` and
+  ``f_hat_0`` is the mean of the field;
 * Sobolev norms are ``||f||_s^2 = sum_k (1+|k|^2)^s |f_hat_k|^2`` and
   vector fields take the root-sum-of-squares over leading components.
 """
@@ -70,19 +69,6 @@ class Grid:
         return arr
 
     @cached_property
-    def ky(self) -> np.ndarray:
-        """Wavenumber along y, shape (1, n) for broadcasting."""
-        arr = self.k1d[None, :].copy()
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def ksq(self) -> np.ndarray:
-        arr = self.kx ** 2 + self.ky ** 2
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
     def rky(self) -> np.ndarray:
         """Wavenumber along y of the rfft2 layout (ky >= 0), shape (1, n/2+1)."""
         arr = np.arange(self.n // 2 + 1, dtype=float)[None, :]
@@ -104,12 +90,6 @@ class Grid:
                 f"field shape {f.shape} does not match grid n={self.n}"
             )
         return f
-
-
-def to_spectral(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Normalized Fourier coefficients of a real field, f_hat[0,0] = mean."""
-    f = grid.check_field(f)
-    return np.fft.fft2(f, axes=(-2, -1)) / grid.n ** 2
 
 
 def spectral_derivative(grid: Grid, f: np.ndarray, axis: str, order: int = 1) -> np.ndarray:

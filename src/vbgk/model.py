@@ -108,13 +108,6 @@ def _pressure_into(rho, params: ModelParams, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def pressure(rho, params: ModelParams):
-    """P(rho) = (rho^2 - rho_bar^2) / (2*rho_bar); rejects rho <= 0."""
-    rho = check_density(rho)
-    out = _pressure_into(rho, params, np.empty(rho.shape))
-    return float(out) if out.ndim == 0 else out
-
-
 def pressure_derivative(rho, params: ModelParams):
     """P'(rho) = rho/rho_bar, the squared sound speed."""
     return rho / params.rho_bar

@@ -13,10 +13,10 @@ The solver works on real-transform (``rfft2``) coefficients, laid out
 w_hat = i kx u2_hat - i ky u1_hat, the mean velocity U and the time.  Its
 substeps run in ``_evolve``, the one time-stepping kernel, and ``state()``
 forms the velocity (one stacked inverse transform) and one
-divergence-checked NsState.  ns_advance and ns_step convert a velocity
-state once, run the kernel and return one NsState; the driver's
-ReferenceTrajectory keeps a VorticityFlow from one record to the next, so a
-record converts only vorticity to velocity and pressure.
+divergence-checked NsState.  ns_step converts a velocity state once, runs
+the kernel and returns one NsState; the driver's ReferenceTrajectory keeps a
+VorticityFlow from one record to the next, so a record converts only
+vorticity to velocity and pressure.
 
 Each RK4 stage takes one stacked inverse transform of (u1, u2, dw/dx, dw/dy),
 written into buffers made once per kernel call, and one forward transform of
@@ -214,12 +214,6 @@ def ns_step(state: NsState, dt: float) -> NsState:
     flow = VorticityFlow(state)
     flow.evolve(dt, 1, state.t + dt)
     return flow.state()
-
-
-def ns_advance(state: NsState, t_target: float, dt_max: float) -> NsState:
-    """Step to exactly t_target using uniform substeps no larger than dt_max."""
-    flow = VorticityFlow(state)
-    return flow.state() if flow.advance(t_target, dt_max) else state
 
 
 def pressure_from_velocity(state: NsState) -> np.ndarray:

@@ -5,11 +5,19 @@ bench/child.py by path and runs its install_spans against a stand-in tracer,
 so a rename in src/ that would break the traced benchmark fails here.
 bench/workloads.py counts each workload's steps through the config parser,
 the driver's builders and kinetic.step_times; the counts are pinned too.
+bench/inputs.py builds the vortex_reference field with the package's grid
+and NsState, and bench/make_expected.py reads the names pinned below.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+import vbgk
+from vbgk import cli, kinetic, model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,3 +56,16 @@ def test_bench_workload_step_counts():
     workloads = load_bench_module("workloads").WORKLOADS
     steps = {name: workload.steps() for name, workload in workloads.items()}
     assert steps == {"bounded_spectral": 1019, "sweep_upwind": 1529, "vortex_reference": 41}
+
+
+def test_bench_vortex_input():
+    u = load_bench_module("inputs").vortex_velocity(3, 16, 0.01)
+    assert u.shape == (2, 16, 16)
+    assert np.max(np.hypot(u[0], u[1])) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("owner, attr", [
+    (kinetic, "transport_step"), (model, "KineticState"), (cli, "main"), (vbgk, "__version__"),
+])
+def test_bench_make_expected_targets(owner, attr):
+    getattr(owner, attr)

@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from vbgk import driver, kinetic, navier_stokes, snapshots
 from vbgk.cli import main
 from vbgk.config import parse_config_text
+from vbgk.errors import BlowupDetected
 from vbgk.grid import Grid
 from vbgk.navier_stokes import taylor_green
 from vbgk.snapshots import read_snapshot, write_snapshot
@@ -236,6 +238,33 @@ def test_sweep_invalid_member_fails_before_any_run(tmp_path, monkeypatch):
     assert main(["sweep", "--config", cfg, "--epsilons", "0.2,0.1,0",
                  "--out", str(tmp_path / "sw")]) == 2
     assert runs == []
+
+
+@pytest.mark.parametrize("first_member_blows_up", [False, True])
+def test_sweep_frees_each_report_once_its_member_has_run(tmp_path, monkeypatch,
+                                                         first_member_blows_up):
+    # only the member being run needs its ValidationReport and initial velocity;
+    # a member that blew up keeps its error, but not the frames of its run
+    refs, dead = [], []
+    run_simulation, run = driver.run_simulation, kinetic.run
+
+    def wrapped(cfg, report):
+        dead.append([ref() is None for ref in refs])
+        refs.append(weakref.ref(report))
+        return run_simulation(cfg, report)
+
+    def blows_up_first(*args):
+        if first_member_blows_up and len(refs) == 1:
+            raise BlowupDetected("injected", 0.0)
+        return run(*args)
+
+    monkeypatch.setattr(driver, "run_simulation", wrapped)
+    monkeypatch.setattr(kinetic, "run", blows_up_first)
+    cfg = write_cfg(tmp_path, BASE.replace("t_end = 0.05", "t_end = 0.01")
+                    + "transport_mode = upwind\n")
+    assert main(["sweep", "--config", cfg, "--epsilons", "0.2,0.1,0.05",
+                 "--out", str(tmp_path / "sw")]) == (3 if first_member_blows_up else 0)
+    assert dead == [[], [True], [True, True]]
 
 
 def test_sweep_rejects_too_few_epsilons(tmp_path):

@@ -4,12 +4,11 @@ from hypothesis import given, strategies as st
 
 from vbgk.diagnostics import (
     bound_functional,
+    compute_record,
     deviation_norms,
     error_functionals,
     fit_rate,
-    macro_fields,
     pairing,
-    pressure_recovery,
     pressure_test_functions,
     relative_entropy_surrogate,
     to_relaxation_vars,
@@ -43,6 +42,21 @@ def taylor_green_state(grid, params):
     return initial_kinetic_state(grid, np.stack([tg.u1, tg.u2]), params)
 
 
+def density_velocity(w, params):
+    """rho and u = (q1, q2)/(eps*rho) of the moments w, the inputs of error_functionals."""
+    return w[0], w[1:] / (params.epsilon * w[0])
+
+
+def record(state, ref=None, phis=None, s_prime=0.0):
+    """compute_record at t = 0 against ref, or the flow at rest; the reference pressure is 0."""
+    g = state.grid
+    zero = np.zeros((g.n, g.n))
+    if ref is None:
+        ref = NsState(g, zero, zero, 0.0, state.params.nu)
+    phis = pressure_test_functions(g) if phis is None else phis
+    return compute_record(state, ref, zero, phis, s_prime, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # change of variables
 # ---------------------------------------------------------------------------
@@ -74,30 +88,36 @@ def test_change_of_variables_round_trip(seed):
 
 
 # ---------------------------------------------------------------------------
-# macroscopic fields
+# macroscopic fields, recovered by compute_record
 # ---------------------------------------------------------------------------
 
 def test_macro_fields_equilibrium(grid32, params_default):
-    rho, u = macro_fields(equilibrium_state(grid32, params_default).w(), params_default)
-    assert np.max(np.abs(rho - params_default.rho_bar)) < 1e-14
-    assert np.max(np.abs(u)) < 1e-13
+    # against the flow at rest, e0 and es at s' = 0 bound rho - rho_bar, rho u and u
+    r = record(equilibrium_state(grid32, params_default))
+    assert abs(r.rho_min - params_default.rho_bar) < 1e-14
+    assert abs(r.rho_max - params_default.rho_bar) < 1e-14
+    assert r.e0 < 1e-13
+    assert r.es < 1e-13
 
 
 def test_macro_fields_recover_initial_velocity(grid32, params_default):
+    # es at s' = 0 is ||rho - rho_bar|| / eps + ||u - u_ref||
     tg, _ = taylor_green(grid32, 0.0, params_default.nu)
-    state = taylor_green_state(grid32, params_default)
-    rho, u = macro_fields(state.w(), params_default)
-    assert np.max(np.abs(u[0] - tg.u1)) < 1e-12
-    assert np.max(np.abs(u[1] - tg.u2)) < 1e-12
+    r = record(taylor_green_state(grid32, params_default), ref=tg)
+    assert r.es < 1e-12
 
 
 def test_macro_fields_velocity_scaling(grid32, params_default):
-    state = random_state(grid32, params_default, 21)
-    _, u = macro_fields(state.w(), params_default)
+    # against the flow at rest, es = d + ||u|| and e0 = d + ||rho u|| with
+    # d = ||rho - rho_bar|| / eps, so doubling q doubles what d leaves
+    p = params_default
+    state = random_state(grid32, p, 21)
     f2 = state.f.copy()
     f2[:, 1:] *= 2.0
-    _, u2 = macro_fields(f2.sum(axis=0), params_default)
-    assert np.allclose(u2, 2 * u, rtol=1e-12, atol=1e-14)
+    r1, r2 = record(state), record(KineticState(grid32, p, f2))
+    d = l2_norm(grid32, state.w()[0] - p.rho_bar) / p.epsilon
+    assert r2.es - d == pytest.approx(2 * (r1.es - d), rel=1e-12)
+    assert r2.e0 - d == pytest.approx(2 * (r1.e0 - d), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +129,7 @@ def test_error_functionals_zero_on_well_prepared_data(grid32, params_default):
     # macroscopic moments match the reference exactly at t = 0
     state = taylor_green_state(grid32, params_default)
     ref, _ = taylor_green(grid32, 0.0, params_default.nu)
-    rho, u = macro_fields(state.w(), params_default)
+    rho, u = density_velocity(state.w(), params_default)
     e0, es = error_functionals(rho, u, ref, params_default, s_prime=2.0)
     assert e0 < 1e-11
     assert es < 1e-10
@@ -118,7 +138,7 @@ def test_error_functionals_zero_on_well_prepared_data(grid32, params_default):
 def test_error_functionals_self_reference(grid32, params_default):
     # comparing against the state's own velocity leaves only the density part
     state = random_state(grid32, params_default, 33)
-    rho, u = macro_fields(state.w(), params_default)
+    rho, u = density_velocity(state.w(), params_default)
     ref = NsState.__new__(NsState)  # bypass the divergence check on purpose
     object.__setattr__(ref, "grid", grid32)
     object.__setattr__(ref, "u1", rho * u[0] / params_default.rho_bar)
@@ -133,7 +153,7 @@ def test_error_functionals_self_reference(grid32, params_default):
 def test_es_monotone_in_s_prime(grid32, params_default):
     state = random_state(grid32, params_default, 34)
     ref, _ = taylor_green(grid32, 0.0, params_default.nu)
-    rho, u = macro_fields(state.w(), params_default)
+    rho, u = density_velocity(state.w(), params_default)
     values = [error_functionals(rho, u, ref, params_default, s_prime=s)[1]
               for s in (0.5, 1.0, 2.0, 3.0)]
     assert all(a <= b * (1 + 1e-12) for a, b in zip(values, values[1:]))
@@ -144,7 +164,7 @@ def test_e0_equals_momentum_functional_at_s_zero(grid32, params_default):
     # reproduces e0 exactly
     state = random_state(grid32, params_default, 35)
     ref, _ = taylor_green(grid32, 0.0, params_default.nu)
-    rho, u = macro_fields(state.w(), params_default)
+    rho, u = density_velocity(state.w(), params_default)
     e0, _ = error_functionals(rho, u, ref, params_default, s_prime=2.0)
     p = params_default
     manual = (sobolev_norm(grid32, rho - p.rho_bar, 0.0) / p.epsilon
@@ -190,30 +210,32 @@ def test_relaxed_states_sit_on_manifold(grid32, params_default):
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
 def test_deviations_reject_bad_density(grid32, params_default, bad):
-    # every diagnostic that divides by or recovers from rho checks it first
-    rv = to_relaxation_vars(equilibrium_state(grid32, params_default))
+    # every diagnostic that divides by or recovers from rho checks it first;
+    # compute_record recovers u and the pressure from rho
+    state = equilibrium_state(grid32, params_default)
+    rv = to_relaxation_vars(state)
     rv.w[0, 3, 5] = bad
     with pytest.raises(NonPositiveDensity):
         deviation_norms(rv, grid32, params_default)
+    state.f[:, 0, 3, 5] = 0.0
+    state.f[4, 0, 3, 5] = bad
     with pytest.raises(NonPositiveDensity):
-        macro_fields(rv.w, params_default)
-    with pytest.raises(NonPositiveDensity):
-        pressure_recovery(rv.w[0], params_default)
+        record(state)
 
 
 # ---------------------------------------------------------------------------
-# pressure recovery
+# pressure recovery, paired by compute_record against a zero reference pressure
 # ---------------------------------------------------------------------------
 
 def test_pressure_recovery_at_background(grid32, params_default):
-    field = pressure_recovery(equilibrium_state(grid32, params_default).w()[0], params_default)
-    assert np.max(np.abs(field)) < 1e-12
+    phis = dict(pressure_test_functions(grid32), one=np.ones((32, 32)))
+    r = record(equilibrium_state(grid32, params_default), phis=phis)
+    assert max(abs(v) for v in r.pairing_error.values()) < 1e-12
 
 
 def test_pressure_recovery_mean_zero(grid32, params_default):
-    state = random_state(grid32, params_default, 50)
-    field = pressure_recovery(state.w()[0], params_default)
-    assert abs(np.mean(field)) < 1e-13
+    r = record(random_state(grid32, params_default, 50), phis={"one": np.ones((32, 32))})
+    assert abs(r.pairing_error["one"]) < 1e-13
 
 
 def test_pairing_values(grid32):

@@ -19,7 +19,6 @@ from vbgk.model import (
     maxwellian_jacobians,
     maxwellians,
     perturbed_maxwellians,
-    pressure,
 )
 from vbgk.navier_stokes import taylor_green
 
@@ -77,23 +76,29 @@ def test_a_identity_for_accepted_params(tau, lam, nu):
 # pressure and fluxes
 # ---------------------------------------------------------------------------
 
+def flux_pressure(rho, params):
+    """P(rho), read as the q1 row of A_1 at zero momentum."""
+    rho = np.asarray(rho, dtype=float)
+    return flux(1, np.stack([rho, np.zeros_like(rho), np.zeros_like(rho)]), params)[1]
+
+
 def test_pressure_values(params_default):
-    assert pressure(1.0, params_default) == 0.0
-    assert pressure(1.2, params_default) == pytest.approx(0.22, abs=1e-15)
+    assert flux_pressure(1.0, params_default) == 0.0
+    assert flux_pressure(1.2, params_default) == pytest.approx(0.22, abs=1e-15)
     p2 = make_params(0.1, 1.0, 2.0, 0.01, 2.0)
-    assert pressure(1.0, p2) == pytest.approx(-0.75, abs=1e-15)
+    assert flux_pressure(1.0, p2) == pytest.approx(-0.75, abs=1e-15)
 
 
 def test_pressure_rejects_non_positive_density(params_default):
     with pytest.raises(NonPositiveDensity):
-        pressure(0.0, params_default)
+        flux_pressure(0.0, params_default)
     with pytest.raises(NonPositiveDensity):
-        pressure(np.array([1.0, -0.5]), params_default)
+        flux_pressure(np.array([1.0, -0.5]), params_default)
 
 
 def test_pressure_strictly_increasing(params_default):
     rho = np.linspace(0.1, 3.0, 200)
-    vals = pressure(rho, params_default)
+    vals = flux_pressure(rho, params_default)
     assert np.all(np.diff(vals) > 0)
 
 

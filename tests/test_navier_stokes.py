@@ -7,7 +7,7 @@ from vbgk.errors import CflViolation, NotDivergenceFree
 from vbgk.grid import Grid, linf_norm, spectral_derivative, spectral_divergence
 from vbgk.navier_stokes import (
     NsState,
-    ns_advance,
+    VorticityFlow,
     ns_step,
     pressure_from_velocity,
     taylor_green,
@@ -21,10 +21,18 @@ def smooth_div_free_state(grid, seed, nu=0.01, amplitude=1.0):
         kx, ky = rng.integers(1, 4, 2)
         psi_hat[kx % grid.n, ky % grid.n] = rng.standard_normal() + 1j * rng.standard_normal()
     psi = np.real(np.fft.ifft2(psi_hat)) * grid.n ** 2
-    u1 = np.real(np.fft.ifft2(1j * grid.ky * np.fft.fft2(psi)))
-    u2 = np.real(np.fft.ifft2(-1j * grid.kx * np.fft.fft2(psi)))
+    k = np.fft.fftfreq(grid.n, 1.0 / grid.n)
+    u1 = np.real(np.fft.ifft2(1j * k[None, :] * np.fft.fft2(psi)))
+    u2 = np.real(np.fft.ifft2(-1j * k[:, None] * np.fft.fft2(psi)))
     scale = amplitude / max(linf_norm(u1), linf_norm(u2))
     return NsState(grid, u1 * scale, u2 * scale, 0.0, nu)
+
+
+def advanced(state, t_target, dt_max):
+    """state stepped to t_target in uniform substeps no larger than dt_max."""
+    flow = VorticityFlow(state)
+    flow.advance(t_target, dt_max)
+    return flow.state()
 
 
 def test_taylor_green_point_values(grid32):
@@ -73,18 +81,18 @@ def test_ns_step_cfl_guard(grid32):
         ns_step(s, 10.0)
 
 
-def test_ns_advance_cfl_guard(grid32):
+def test_flow_advance_cfl_guard(grid32):
     # the guard applies to each substep: max|u| = 1, so CFL = dt/dx per substep
     s = smooth_div_free_state(grid32, 5)
     dt = 0.8 * grid32.dx
-    assert ns_advance(s, 4 * dt, dt).t == 4 * dt
+    assert advanced(s, 4 * dt, dt).t == 4 * dt
     with pytest.raises(CflViolation):
-        ns_advance(s, 2.2 * grid32.dx, 1.5 * grid32.dx)
+        advanced(s, 2.2 * grid32.dx, 1.5 * grid32.dx)
 
 
 def test_ns_matches_taylor_green(grid32):
     s, _ = taylor_green(grid32, 0.0, 0.01)
-    s = ns_advance(s, 0.1, 1e-3)
+    s = advanced(s, 0.1, 1e-3)
     exact, _ = taylor_green(grid32, 0.1, 0.01)
     err = max(linf_norm(s.u1 - exact.u1), linf_norm(s.u2 - exact.u2))
     assert err < 1e-10
@@ -95,7 +103,7 @@ def test_ns_carries_mean_flow(grid32):
     # u = U + u_TG(x - U t, t), and the pressure is p_TG(x - U t, t)
     nu, t, mean = 0.1, 1.0, (0.5, -0.25)
     s0, _ = taylor_green(grid32, 0.0, nu)
-    s = ns_advance(NsState(grid32, s0.u1 + mean[0], s0.u2 + mean[1], 0.0, nu), t, 1e-3)
+    s = advanced(NsState(grid32, s0.u1 + mean[0], s0.u2 + mean[1], 0.0, nu), t, 1e-3)
     x, y = grid32.x - mean[0] * t, grid32.y - mean[1] * t
     decay = np.exp(-2.0 * nu * t)
     assert linf_norm(s.u1 - mean[0] + np.cos(x) * np.sin(y) * decay) < 1e-12
@@ -115,10 +123,10 @@ def test_energy_never_increases(grid32):
 def test_fourth_order_self_convergence():
     g = Grid(32)
     s0 = smooth_div_free_state(g, 3)
-    ref = ns_advance(s0, 0.2, 1.25e-3)
+    ref = advanced(s0, 0.2, 1.25e-3)
     errs = []
     for dt in (0.02, 0.01):
-        s = ns_advance(s0, 0.2, dt)
+        s = advanced(s0, 0.2, dt)
         errs.append(linf_norm(s.u1 - ref.u1) + linf_norm(s.u2 - ref.u2))
     ratio = errs[0] / errs[1]
     assert 10.0 < ratio < 24.0
@@ -158,7 +166,7 @@ def relative_error(got, want):
 @pytest.mark.parametrize("n", [32, 64])
 def test_reference_trajectory_matches_round_trip_chain(n):
     # the trajectory keeps vorticity coefficients between requests; the chain
-    # converts each returned velocity back, as separate ns_advance calls do
+    # converts each returned velocity back, as a fresh VorticityFlow per request does
     g = Grid(n)
     s0 = smooth_div_free_state(g, 21, nu=0.05)
     reference = file_reference(g, s0)
@@ -166,7 +174,7 @@ def test_reference_trajectory_matches_round_trip_chain(n):
     chain = s0
     for t in np.linspace(0.0, 0.03, 12)[1:]:
         state, p = reference.at(float(t))
-        chain = ns_advance(chain, float(t), dt_max)
+        chain = advanced(chain, float(t), dt_max)
         assert state.t == chain.t == t
         assert relative_error(state.u1, chain.u1) < 1e-12
         assert relative_error(state.u2, chain.u2) < 1e-12
