@@ -8,6 +8,7 @@ sits on one line (file-level problems such as missing keys carry none).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,11 +98,14 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
             values[key] = value
         elif key == "snapshot_times":
             try:
-                values[key] = tuple(float(v) for v in value.split(",") if v.strip())
+                times = tuple(float(v) for v in value.split(",") if v.strip())
             except ValueError:
+                times = None
+            if times is None or not all(map(math.isfinite, times)):
                 raise ConfigError(
-                    f"snapshot_times expects comma-separated numbers, got {value!r}",
-                    lineno) from None
+                    f"snapshot_times expects comma-separated finite numbers, got {value!r}",
+                    lineno)
+            values[key] = times
         else:
             raise ConfigError(f"unknown key {key!r}", lineno)
 

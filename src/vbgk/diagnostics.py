@@ -24,72 +24,45 @@ import numpy as np
 from . import grid as gridmod
 from .errors import NonPositiveError, TooFewPoints
 from .model import KineticState, ModelParams, check_density, fluxes
-from .navier_stokes import NsState
 
 
-@dataclass(frozen=True)
-class RelaxationVars:
-    """Moment combinations (w, m, xi, k, h), each of shape (3, n, n)."""
-
-    w: np.ndarray
-    m: np.ndarray
-    xi: np.ndarray
-    k: np.ndarray
-    h: np.ndarray
-
-
-def to_relaxation_vars(state: KineticState) -> RelaxationVars:
-    f = state.f
-    p = state.params
-    fac = p.lam / p.epsilon
-    return RelaxationVars(
-        w=f.sum(axis=0),
-        m=fac * (f[0] - f[2]),
-        xi=fac * (f[1] - f[3]),
-        k=f[0] + f[2],
-        h=f[1] + f[3],
-    )
-
-
-def _velocity(w: np.ndarray, params: ModelParams) -> np.ndarray:
-    return w[1:] / (params.epsilon * w[0])
-
-
-def error_functionals(rho: np.ndarray, u: np.ndarray, ref: NsState, params: ModelParams,
-                      s_prime: float) -> tuple[float, float]:
+def error_functionals(grid: gridmod.Grid, rho: np.ndarray, u: np.ndarray, u_ref: np.ndarray,
+                      params: ModelParams, s_prime: float) -> tuple[float, float]:
     """(e0, es) of density rho and velocity u = (q1, q2)/(eps*rho) against a
-    reference on the same grid."""
-    grid = ref.grid
+    reference velocity u_ref (2, n, n) on grid."""
     grid.check_field(rho)
     rho_dev = rho - params.rho_bar
-    mom_dev = np.stack([rho * u[0] - params.rho_bar * ref.u1,
-                        rho * u[1] - params.rho_bar * ref.u2])
-    vel_dev = np.stack([u[0] - ref.u1, u[1] - ref.u2])
+    mom_dev = rho * u - params.rho_bar * u_ref
+    vel_dev = u - u_ref
     e0 = gridmod.l2_norm(grid, rho_dev) / params.epsilon + gridmod.l2_norm(grid, mom_dev)
     es = (gridmod.sobolev_norm(grid, rho_dev, s_prime) / params.epsilon
           + gridmod.sobolev_norm(grid, vel_dev, s_prime))
     return e0, es
 
 
-def deviation_norms(rv: RelaxationVars, grid: gridmod.Grid,
+def deviation_norms(f: np.ndarray, w: np.ndarray, grid: gridmod.Grid,
                     params: ModelParams) -> tuple[float, float, float, float]:
-    """L2 distances from the first-order relaxation manifold.
+    """L2 distances of the state f, with moments w = sum_i f_i, from the
+    first-order relaxation manifold.
 
     Returns (dev_k, dev_h, dev_m, dev_xi) with
     dev_k = ||k - 2aw||, dev_m = ||m - A_1(w)/eps + tau*lam^2*dx(k)||
     and the y-analogues for h and xi.  Rejects a non-positive or non-finite
-    density of rv.w.
+    density of w.
     """
-    check_density(rv.w[0])
+    check_density(w[0])
     a = params.a
     visc = params.tau * params.lam ** 2
-    dev_k = gridmod.l2_norm(grid, rv.k - 2.0 * a * rv.w)
-    dev_h = gridmod.l2_norm(grid, rv.h - 2.0 * a * rv.w)
-    a1, a2 = fluxes(rv.w, params) / params.epsilon
-    dkx = gridmod.spectral_derivative(grid, rv.k, "x")
-    dhy = gridmod.spectral_derivative(grid, rv.h, "y")
-    dev_m = gridmod.l2_norm(grid, rv.m - a1 + visc * dkx)
-    dev_xi = gridmod.l2_norm(grid, rv.xi - a2 + visc * dhy)
+    fac = params.lam / params.epsilon
+    k = f[0] + f[2]
+    h = f[1] + f[3]
+    dev_k = gridmod.l2_norm(grid, k - 2.0 * a * w)
+    dev_h = gridmod.l2_norm(grid, h - 2.0 * a * w)
+    a1, a2 = fluxes(w, params) / params.epsilon
+    dkx = gridmod.spectral_derivative(grid, k, "x")
+    dhy = gridmod.spectral_derivative(grid, h, "y")
+    dev_m = gridmod.l2_norm(grid, fac * (f[0] - f[2]) - a1 + visc * dkx)
+    dev_xi = gridmod.l2_norm(grid, fac * (f[1] - f[3]) - a2 + visc * dhy)
     return dev_k, dev_h, dev_m, dev_xi
 
 
@@ -161,22 +134,23 @@ class DiagnosticsRecord:
 RECORD_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "pairing_error")
 
 
-def compute_record(state: KineticState, ref: NsState, ref_pressure: np.ndarray,
+def compute_record(state: KineticState, u_ref: np.ndarray, p_ref: np.ndarray,
                    phis: dict[str, np.ndarray], s_prime: float, t: float) -> DiagnosticsRecord:
-    """One record against (ref, ref_pressure); phis is pressure_test_functions(grid).
+    """One record against the reference velocity u_ref (2, n, n) and pressure
+    p_ref; phis is pressure_test_functions(grid).
 
     w is summed once, and deviation_norms makes the record's one density check.
     """
     grid = state.grid
     p = state.params
-    rv = to_relaxation_vars(state)
-    dev_k, dev_h, dev_m, dev_xi = deviation_norms(rv, grid, p)
-    rho = rv.w[0]
-    e0, es = error_functionals(rho, _velocity(rv.w, p), ref, p, s_prime)
+    w = state.w()
+    dev_k, dev_h, dev_m, dev_xi = deviation_norms(state.f, w, grid, p)
+    rho = w[0]
+    e0, es = error_functionals(grid, rho, w[1:] / (p.epsilon * rho), u_ref, p, s_prime)
     w_ref = np.stack([
         np.full((grid.n, grid.n), p.rho_bar),
-        p.epsilon * p.rho_bar * ref.u1,
-        p.epsilon * p.rho_bar * ref.u2,
+        p.epsilon * p.rho_bar * u_ref[0],
+        p.epsilon * p.rho_bar * u_ref[1],
     ])
     recovered = _pressure_field(rho, p)
     return DiagnosticsRecord(
@@ -187,11 +161,11 @@ def compute_record(state: KineticState, ref: NsState, ref_pressure: np.ndarray,
         dev_h=dev_h,
         dev_m=dev_m,
         dev_xi=dev_xi,
-        eta_surrogate=relative_entropy_surrogate(rv.w, w_ref, p),
+        eta_surrogate=relative_entropy_surrogate(w, w_ref, p),
         rho_min=float(np.min(rho)),
         rho_max=float(np.max(rho)),
-        sup_bound_functional=bound_functional(rv.w, p),
-        pairing_error={name: pairing(recovered, phi) - pairing(ref_pressure, phi)
+        sup_bound_functional=bound_functional(w, p),
+        pairing_error={name: pairing(recovered, phi) - pairing(p_ref, phi)
                        for name, phi in phis.items()},
     )
 

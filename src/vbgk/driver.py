@@ -60,10 +60,13 @@ def solver_config(cfg: RunConfig) -> kinetic.SolverConfig:
 
 
 def initial_velocity(cfg: RunConfig, grid: Grid) -> np.ndarray:
-    """Initial velocity field (2, n, n) from the configured source."""
+    """Initial velocity field (2, n, n) from the configured source.
+
+    Velocity read from a file is checked here to be divergence-free, so
+    validate, run, sweep and reference all reject the same data.
+    """
     if cfg.initial_data == "taylor_green":
-        state, _ = navier_stokes.taylor_green(grid, 0.0, cfg.nu)
-        return np.stack([state.u1, state.u2])
+        return navier_stokes.taylor_green_velocity(grid, 0.0, cfg.nu)[0]
     if cfg.initial_data == "zero":
         return np.zeros((2, grid.n, grid.n))
     fields, _ = snapshots.read_snapshot(cfg.initial_data_path)
@@ -71,6 +74,7 @@ def initial_velocity(cfg: RunConfig, grid: Grid) -> np.ndarray:
         raise ConfigError(
             f"initial data file has shape {fields.shape}, expected (2, {grid.n}, {grid.n})"
         )
+    model.check_divergence_free(grid, fields)
     return fields
 
 
@@ -144,40 +148,32 @@ def validated(cfg: RunConfig) -> ValidationReport:
 
 
 class ReferenceTrajectory:
-    """Reference flow evaluated at increasing times.
+    """Reference velocity (2, n, n) and pressure evaluated at increasing times.
 
-    Taylor-Green data uses the closed form (zero reference error).  Zero data
-    is one read-only rest state, handed out at every time (its t reads 0).
-    File-based data advances the pseudo-spectral solver from u0, the initial
-    velocity (2, n, n) the caller has read, between requested times.  The
-    flow stays in vorticity coefficients from one request to the next; a
-    request that steps builds one NsState, and a time within 1e-14 of the
-    last one (t = 0 at first) gets the last state again, so t = 0 gives u0.
+    Taylor-Green data uses the closed form (zero reference error).  Every
+    other source, zero data included, advances the pseudo-spectral solver
+    from u0, the initial velocity the caller has read and checked, between
+    requested times.  The flow stays in vorticity coefficients from one
+    request to the next; a request that steps converts it to velocity once,
+    and a time within 1e-14 of the last one (t = 0 at first) gets the last
+    velocity again, so t = 0 gives u0.
     """
 
     def __init__(self, cfg: RunConfig, grid: Grid, u0: np.ndarray):
         self._cfg = cfg
         self._grid = grid
-        if cfg.initial_data == "zero":
-            zero = np.zeros((grid.n, grid.n))
-            zero.setflags(write=False)
-            rest = navier_stokes.NsState(grid=grid, u1=zero, u2=zero, t=0.0, nu=cfg.nu)
-            self._rest = rest, zero
-        elif cfg.initial_data != "taylor_green":
-            self._state = navier_stokes.NsState(
-                grid=grid, u1=u0[0], u2=u0[1], t=0.0, nu=cfg.nu)
-            self._flow = navier_stokes.VorticityFlow(self._state)
+        if cfg.initial_data != "taylor_green":
+            self._u = u0
+            self._flow = navier_stokes.VorticityFlow(grid, u0, cfg.nu, 0.0)
             u_max = max(float(np.max(np.abs(u0))), 1e-8)
             self._dt_max = min(1e-3, 0.25 * grid.dx / u_max)
 
-    def at(self, t: float) -> tuple[navier_stokes.NsState, np.ndarray]:
-        if self._cfg.initial_data == "zero":
-            return self._rest
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         if self._cfg.initial_data == "taylor_green":
-            return navier_stokes.taylor_green(self._grid, t, self._cfg.nu)
+            return navier_stokes.taylor_green_velocity(self._grid, t, self._cfg.nu)
         if self._flow.advance(t, self._dt_max):
-            self._state = self._flow.state()
-        return self._state, navier_stokes.pressure_from_velocity(self._state)
+            self._u = self._flow.velocity()
+        return self._u, navier_stokes.pressure_from_velocity(self._grid, self._u)
 
 
 @dataclass
@@ -220,8 +216,8 @@ def run_simulation(cfg: RunConfig,
     pending = sorted(cfg.snapshot_times)
 
     def on_record(t, state, step):
-        ref_state, ref_p = reference.at(t)
-        records.append(diag.compute_record(state, ref_state, ref_p, phis, cfg.s_prime, t))
+        u_ref, p_ref = reference.at(t)
+        records.append(diag.compute_record(state, u_ref, p_ref, phis, cfg.s_prime, t))
         # snapshots keyed by the actual record time reached
         while pending and t >= pending[0] - 1e-12:
             pending.pop(0)
@@ -356,12 +352,8 @@ def reference_to_files(cfg: RunConfig, out_dir) -> list[float]:
     reference = ReferenceTrajectory(cfg, report.grid, report.u0)
     rows = ["t,energy"]
     for i, t in enumerate(times):
-        state, p = reference.at(t)
-        snapshots.write_snapshot(
-            out_dir / f"reference_{i:03d}.vbgk",
-            np.stack([state.u1, state.u2, p]),
-            t,
-        )
-        rows.append(f"{fmt(t)},{fmt(state.energy())}")
+        u, p = reference.at(t)
+        snapshots.write_snapshot(out_dir / f"reference_{i:03d}.vbgk", np.stack([*u, p]), t)
+        rows.append(f"{fmt(t)},{fmt(float(np.mean(u[0] ** 2 + u[1] ** 2)))}")
     (out_dir / "reference.csv").write_text("\n".join(rows) + "\n")
     return times

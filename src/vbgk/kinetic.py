@@ -84,12 +84,13 @@ class SolverConfig:
     record_every: int = 10
 
     def __post_init__(self):
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError(f"fixed dt must be positive, got {self.dt}")
-        if self.c_relax <= 0 or self.c_transp <= 0:
-            raise ValueError("dt policy multipliers must be positive")
+        # chained comparisons are false for NaN, and the upper bound rejects inf
+        if not 0 <= self.t_end < np.inf:
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ValueError(f"fixed dt must be finite and positive, got {self.dt}")
+        if not (0 < self.c_relax < np.inf and 0 < self.c_transp < np.inf):
+            raise ValueError("dt policy multipliers must be finite and positive")
         if self.transport_mode not in ("spectral", "upwind"):
             raise ValueError(f"unknown transport mode {self.transport_mode!r}")
         if self.record_every < 1:
@@ -253,10 +254,12 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
     for step, t, dt, is_record in _time_grid(cfg, cfg.base_dt(state.params, state.grid.dx)):
         _relax(ws, owed + 0.5 * dt)
         _transport(ws, dt, cfg.transport_mode)
-        # NaN and inf propagate through the extrema, so two reductions find both
-        if not (np.isfinite(np.max(ws.f)) and np.isfinite(np.min(ws.f))):
-            raise BlowupDetected("non-finite values in kinetic state", t_prev)
         np.sum(ws.f, axis=0, out=ws.w)
+        # every entry of f is summed into one entry of w, NaN and inf propagate
+        # through the sum (inf - inf is NaN) and through the extrema, so two
+        # reductions over w find a non-finite entry anywhere in f
+        if not (np.isfinite(np.max(ws.w)) and np.isfinite(np.min(ws.w))):
+            raise BlowupDetected("non-finite values in kinetic state", t_prev)
         fault = density_fault(ws.w[0])
         if fault is not None:
             raise BlowupDetected(fault, t_prev)

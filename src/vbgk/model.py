@@ -221,6 +221,16 @@ class KineticState:
         return self.f.sum(axis=0)
 
 
+def check_divergence_free(grid: gridmod.Grid, u0: np.ndarray) -> None:
+    """Raise NotDivergenceFree unless the initial velocity u0 (2, n, n) is
+    divergence-free to 1e-10."""
+    div_max = gridmod.linf_norm(gridmod.spectral_divergence(grid, u0[0], u0[1]))
+    if div_max > 1e-10:
+        raise NotDivergenceFree(
+            f"initial velocity has spectral divergence {div_max:.3e} > 1e-10"
+        )
+
+
 def initial_kinetic_state(grid: gridmod.Grid, u0: np.ndarray,
                           params: ModelParams) -> KineticState:
     """Well-prepared kinetic data from a divergence-free velocity field.
@@ -231,12 +241,7 @@ def initial_kinetic_state(grid: gridmod.Grid, u0: np.ndarray,
     u0 = grid.check_field(np.asarray(u0, dtype=float))
     if u0.shape != (2, grid.n, grid.n):
         raise ValueError(f"u0 must have shape (2, n, n), got {u0.shape}")
-    div = gridmod.spectral_divergence(grid, u0[0], u0[1])
-    div_max = gridmod.linf_norm(div)
-    if div_max > 1e-10:
-        raise NotDivergenceFree(
-            f"initial velocity has spectral divergence {div_max:.3e} > 1e-10"
-        )
+    check_divergence_free(grid, u0)
     scale = params.epsilon * params.rho_bar
     w0 = np.stack([
         np.full((grid.n, grid.n), params.rho_bar),

@@ -11,12 +11,12 @@ Two paths are provided:
 The solver works on real-transform (``rfft2``) coefficients, laid out
 (n, n/2 + 1).  A VorticityFlow holds the vorticity coefficients
 w_hat = i kx u2_hat - i ky u1_hat, the mean velocity U and the time.  Its
-substeps run in ``_evolve``, the one time-stepping kernel, and ``state()``
-forms the velocity (one stacked inverse transform) and one
-divergence-checked NsState.  ns_step converts a velocity state once, runs
-the kernel and returns one NsState; the driver's ReferenceTrajectory keeps a
-VorticityFlow from one record to the next, so a record converts only
-vorticity to velocity and pressure.
+substeps run in ``_evolve``, the one time-stepping kernel, and ``velocity()``
+forms the velocity (2, n, n) with one stacked inverse transform.  Velocities
+pass between functions as plain (2, n, n) arrays; only NsState, the state
+that ns_step takes and returns, runs a divergence check.  The driver's
+ReferenceTrajectory keeps a VorticityFlow from one record to the next, so a
+record converts only vorticity to velocity and pressure.
 
 Each RK4 stage takes one stacked inverse transform of (u1, u2, dw/dx, dw/dy),
 written into buffers made once per kernel call, and one forward transform of
@@ -65,20 +65,25 @@ class NsState:
         return float(np.mean(self.u1 ** 2 + self.u2 ** 2))
 
 
-def taylor_green(grid: Grid, t: float, nu: float) -> tuple[NsState, np.ndarray]:
+def taylor_green_velocity(grid: Grid, t: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact decaying vortex: u = (-cos x sin y, sin x cos y) e^{-2 nu t}.
 
-    Returns the state and the mean-zero pressure
+    Returns the velocity (2, n, n) and the mean-zero pressure
     p = -(cos 2x + cos 2y)/4 * e^{-4 nu t}.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     decay = np.exp(-2.0 * nu * t)
     x, y = grid.x, grid.y
-    u1 = -np.cos(x) * np.sin(y) * decay
-    u2 = np.sin(x) * np.cos(y) * decay
+    u = np.stack([-np.cos(x) * np.sin(y) * decay, np.sin(x) * np.cos(y) * decay])
     p = -0.25 * (np.cos(2 * x) + np.cos(2 * y)) * decay ** 2
-    return NsState(grid=grid, u1=u1, u2=u2, t=t, nu=nu), p
+    return u, p
+
+
+def taylor_green(grid: Grid, t: float, nu: float) -> tuple[NsState, np.ndarray]:
+    """taylor_green_velocity as a checked NsState and the pressure."""
+    u, p = taylor_green_velocity(grid, t, nu)
+    return NsState(grid=grid, u1=u[0], u2=u[1], t=t, nu=nu), p
 
 
 @dataclass(frozen=True)
@@ -168,14 +173,15 @@ def _evolve(grid: Grid, w_hat: np.ndarray, mean, nu: float, dt: float,
 
 
 class VorticityFlow:
-    """A flow as its rfft2 vorticity coefficients w_hat, mean velocity and time t."""
+    """A flow started from velocity u (2, n, n) at time t, held as its rfft2
+    vorticity coefficients w_hat and mean velocity."""
 
-    def __init__(self, state: NsState):
-        self.grid, self.nu, self.t = state.grid, state.nu, state.t
-        u_hat = np.fft.rfft2(np.stack([state.u1, state.u2]))
+    def __init__(self, grid: Grid, u: np.ndarray, nu: float, t: float):
+        self.grid, self.nu, self.t = grid, nu, t
+        u_hat = np.fft.rfft2(u)
         # the (0, 0) coefficients carry n^2 times the mean
-        self.mean = tuple(float(c) for c in u_hat[:, 0, 0].real / self.grid.n ** 2)
-        tab = _tables(self.grid)
+        self.mean = tuple(float(c) for c in u_hat[:, 0, 0].real / grid.n ** 2)
+        tab = _tables(grid)
         self.w_hat = tab.ikx * u_hat[1] - tab.iky * u_hat[0]
 
     def evolve(self, dt: float, n_sub: int, t: float) -> None:
@@ -198,28 +204,29 @@ class VorticityFlow:
         self.evolve(gap / n_sub, n_sub, t_target)
         return True
 
-    def state(self) -> NsState:
-        """The velocity at time t, one stacked inverse transform."""
+    def velocity(self) -> np.ndarray:
+        """The velocity (2, n, n) at time t, one stacked inverse transform."""
         n = self.grid.n
         u_hat = np.empty((2, n, n // 2 + 1), dtype=complex)
         _velocity_coeffs(_tables(self.grid), self.w_hat, u_hat)
         u = np.fft.irfftn(u_hat, s=(n, n), axes=(-2, -1))
         u[0] += self.mean[0]
         u[1] += self.mean[1]
-        return NsState(grid=self.grid, u1=u[0], u2=u[1], t=self.t, nu=self.nu)
+        return u
 
 
 def ns_step(state: NsState, dt: float) -> NsState:
     """One integrating-factor RK4 step of the vorticity equation."""
-    flow = VorticityFlow(state)
+    flow = VorticityFlow(state.grid, np.stack([state.u1, state.u2]), state.nu, state.t)
     flow.evolve(dt, 1, state.t + dt)
-    return flow.state()
+    u = flow.velocity()
+    return NsState(grid=state.grid, u1=u[0], u2=u[1], t=flow.t, nu=state.nu)
 
 
-def pressure_from_velocity(state: NsState) -> np.ndarray:
-    """Mean-zero p solving -lap(p) = div(div(u (x) u)), computed spectrally."""
-    grid, tab = state.grid, _tables(state.grid)
-    u1, u2 = state.u1, state.u2
+def pressure_from_velocity(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """Mean-zero p solving -lap(p) = div(div(u (x) u)) for u (2, n, n), computed spectrally."""
+    tab = _tables(grid)
+    u1, u2 = u
     t_hat = np.fft.rfft2(np.stack([u1 * u1, u1 * u2, u2 * u2]))
     t_hat[0] *= tab.ikx ** 2
     t_hat[1] *= 2.0 * tab.ddx * tab.ddy

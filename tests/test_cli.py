@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from vbgk import driver, kinetic, navier_stokes, snapshots
+from vbgk import grid as gridmod
 from vbgk.cli import main
 from vbgk.config import parse_config_text
 from vbgk.errors import BlowupDetected
 from vbgk.grid import Grid
-from vbgk.navier_stokes import taylor_green
+from vbgk.navier_stokes import taylor_green, taylor_green_velocity
 from vbgk.snapshots import read_snapshot, write_snapshot
 
 BASE = """
@@ -68,6 +69,12 @@ def test_validate_parse_error_has_line_number(tmp_path, capsys):
     "s_prime = -1",
     "s = 0",
     "initial_data = file:/nonexistent",
+    "t_end = nan",
+    "t_end = inf",
+    "dt = nan",
+    "c_relax = nan",
+    "c_transp = nan",
+    "snapshot_times = nan",
 ])
 def test_run_bad_config_value_exits_1(tmp_path, capsys, line):
     key = line.split("=")[0].strip()
@@ -143,13 +150,21 @@ def test_reference_matches_closed_form(tmp_path):
         assert energy == pytest.approx(0.5 * np.exp(-4 * 0.01 * t), rel=1e-12)
 
 
-def test_reference_rejects_divergent_file_data(tmp_path):
+def test_reference_rejects_divergent_file_data(tmp_path, capsys):
+    # the file's velocity is checked once, as it is read, so every command
+    # that reads it exits 2 with the message run prints
     g = Grid(32)
     u0 = np.stack([np.sin(g.x), np.zeros((32, 32))])  # not divergence-free
     path = tmp_path / "u0.vbgk"
     write_snapshot(path, u0, 0.0)
     cfg = write_cfg(tmp_path, BASE + f"initial_data = file:{path}\n")
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    errors = {}
+    for command in ("run", "validate", "reference", "sweep"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+        errors[command] = capsys.readouterr().err
+    assert errors["run"].startswith("constraint violation: initial velocity has spectral "
+                                    "divergence ")
+    assert set(errors.values()) == {errors["run"]}
 
 
 def test_file_initial_data_round_trip(tmp_path):
@@ -214,21 +229,25 @@ def test_file_data_run_reads_snapshot_once(tmp_path, monkeypatch):
     assert len(reads) == 1
 
 
-def test_file_reference_builds_one_state_per_request(tmp_path, monkeypatch):
-    # the substeps between two requested times stay in vorticity, so one
-    # request builds one NsState and runs one divergence check
+def test_reference_requests_run_no_divergence_check(tmp_path, monkeypatch):
+    # the initial velocity is checked once as it is read; a request hands out
+    # the reference velocity as an array and checks nothing
     g = Grid(32)
-    tg, _ = taylor_green(g, 0.0, 0.01)
+    u0, _ = taylor_green_velocity(g, 0.0, 0.01)
     path = tmp_path / "u0.vbgk"
-    write_snapshot(path, np.stack([tg.u1, tg.u2]), 0.0)
-    cfg = parse_config_text(BASE + f"initial_data = file:{path}\n")
-    reference = driver.ReferenceTrajectory(cfg, g, driver.initial_velocity(cfg, g))
-    checks = count_calls(monkeypatch, navier_stokes, "spectral_divergence")
-    state, _ = reference.at(0.0035)  # four substeps of at most 1e-3
-    assert len(checks) == 1
-    assert state.t == 0.0035
-    exact, _ = taylor_green(g, 0.0035, 0.01)
-    assert max(np.max(np.abs(state.u1 - exact.u1)), np.max(np.abs(state.u2 - exact.u2))) < 1e-12
+    write_snapshot(path, u0, 0.0)
+    exact, _ = taylor_green_velocity(g, 0.0035, 0.01)
+    for source in ("taylor_green", f"file:{path}"):
+        cfg = parse_config_text(BASE + f"initial_data = {source}\n")
+        reference = driver.ReferenceTrajectory(cfg, g, driver.initial_velocity(cfg, g))
+        checks = [count_calls(monkeypatch, module, "spectral_divergence")
+                  for module in (navier_stokes, gridmod)]
+        u, _ = reference.at(0.0035)  # file data: four substeps of at most 1e-3
+        assert checks == [[], []]
+        assert u.shape == (2, 32, 32)
+        assert np.max(np.abs(u - exact)) < 1e-12
+        monkeypatch.undo()
+    assert reference._flow.t == 0.0035  # the file reference's flow
 
 
 def test_sweep_invalid_member_fails_before_any_run(tmp_path, monkeypatch):

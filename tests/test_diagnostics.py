@@ -11,13 +11,12 @@ from vbgk.diagnostics import (
     pairing,
     pressure_test_functions,
     relative_entropy_surrogate,
-    to_relaxation_vars,
 )
 from vbgk.errors import NonPositiveDensity, NonPositiveError, TooFewPoints
-from vbgk.grid import Grid, l2_norm, sobolev_norm
+from vbgk.grid import Grid, l2_norm, sobolev_norm, spectral_derivative
 from vbgk.kinetic import relaxation_step
-from vbgk.model import KineticState, initial_kinetic_state, make_params, maxwellians
-from vbgk.navier_stokes import NsState, taylor_green
+from vbgk.model import KineticState, fluxes, initial_kinetic_state, make_params, maxwellians
+from vbgk.navier_stokes import taylor_green_velocity
 
 from conftest import random_field
 
@@ -38,8 +37,8 @@ def random_state(grid, params, seed):
 
 
 def taylor_green_state(grid, params):
-    tg, _ = taylor_green(grid, 0.0, params.nu)
-    return initial_kinetic_state(grid, np.stack([tg.u1, tg.u2]), params)
+    u, _ = taylor_green_velocity(grid, 0.0, params.nu)
+    return initial_kinetic_state(grid, u, params)
 
 
 def density_velocity(w, params):
@@ -47,44 +46,13 @@ def density_velocity(w, params):
     return w[0], w[1:] / (params.epsilon * w[0])
 
 
-def record(state, ref=None, phis=None, s_prime=0.0):
-    """compute_record at t = 0 against ref, or the flow at rest; the reference pressure is 0."""
+def record(state, u_ref=None, phis=None, s_prime=0.0):
+    """compute_record at t = 0 against u_ref, or the flow at rest; the reference pressure is 0."""
     g = state.grid
-    zero = np.zeros((g.n, g.n))
-    if ref is None:
-        ref = NsState(g, zero, zero, 0.0, state.params.nu)
+    if u_ref is None:
+        u_ref = np.zeros((2, g.n, g.n))
     phis = pressure_test_functions(g) if phis is None else phis
-    return compute_record(state, ref, zero, phis, s_prime, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# change of variables
-# ---------------------------------------------------------------------------
-
-def test_relaxation_vars_at_equilibrium(grid32, params_default):
-    rv = to_relaxation_vars(equilibrium_state(grid32, params_default))
-    a, rb = params_default.a, params_default.rho_bar
-    assert np.max(np.abs(rv.m)) < 1e-14
-    assert np.max(np.abs(rv.xi)) < 1e-14
-    assert np.max(np.abs(rv.k[0] - 2 * a * rb)) < 1e-14
-    assert np.max(np.abs(rv.h[0] - 2 * a * rb)) < 1e-14
-    # translated variables w - (rho_bar,0,0) and k - 2a(rho_bar,0,0) vanish
-    assert np.max(np.abs(rv.w[0] - rb)) < 1e-14
-    assert np.max(np.abs(rv.w[1:])) < 1e-14
-
-
-@given(seed=st.integers(0, 2 ** 31))
-def test_change_of_variables_round_trip(seed):
-    g = Grid(16)
-    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
-    state = random_state(g, p, seed)
-    rv = to_relaxation_vars(state)
-    # the inverse of the linear change of variables
-    half = 0.5 * p.epsilon / p.lam
-    back = np.stack([0.5 * rv.k + half * rv.m, 0.5 * rv.h + half * rv.xi,
-                     0.5 * rv.k - half * rv.m, 0.5 * rv.h - half * rv.xi,
-                     rv.w - rv.k - rv.h])
-    assert np.max(np.abs(back - state.f)) < 1e-12
+    return compute_record(state, u_ref, np.zeros((g.n, g.n)), phis, s_prime, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +70,8 @@ def test_macro_fields_equilibrium(grid32, params_default):
 
 def test_macro_fields_recover_initial_velocity(grid32, params_default):
     # es at s' = 0 is ||rho - rho_bar|| / eps + ||u - u_ref||
-    tg, _ = taylor_green(grid32, 0.0, params_default.nu)
-    r = record(taylor_green_state(grid32, params_default), ref=tg)
+    u_ref, _ = taylor_green_velocity(grid32, 0.0, params_default.nu)
+    r = record(taylor_green_state(grid32, params_default), u_ref=u_ref)
     assert r.es < 1e-12
 
 
@@ -128,9 +96,9 @@ def test_error_functionals_zero_on_well_prepared_data(grid32, params_default):
     # the perturbed-Maxwellian corrections cancel in the projection, so the
     # macroscopic moments match the reference exactly at t = 0
     state = taylor_green_state(grid32, params_default)
-    ref, _ = taylor_green(grid32, 0.0, params_default.nu)
+    u_ref, _ = taylor_green_velocity(grid32, 0.0, params_default.nu)
     rho, u = density_velocity(state.w(), params_default)
-    e0, es = error_functionals(rho, u, ref, params_default, s_prime=2.0)
+    e0, es = error_functionals(grid32, rho, u, u_ref, params_default, s_prime=2.0)
     assert e0 < 1e-11
     assert es < 1e-10
 
@@ -139,22 +107,17 @@ def test_error_functionals_self_reference(grid32, params_default):
     # comparing against the state's own velocity leaves only the density part
     state = random_state(grid32, params_default, 33)
     rho, u = density_velocity(state.w(), params_default)
-    ref = NsState.__new__(NsState)  # bypass the divergence check on purpose
-    object.__setattr__(ref, "grid", grid32)
-    object.__setattr__(ref, "u1", rho * u[0] / params_default.rho_bar)
-    object.__setattr__(ref, "u2", rho * u[1] / params_default.rho_bar)
-    object.__setattr__(ref, "t", 0.0)
-    object.__setattr__(ref, "nu", params_default.nu)
-    e0, _ = error_functionals(rho, u, ref, params_default, s_prime=2.0)
+    u_ref = rho * u / params_default.rho_bar
+    e0, _ = error_functionals(grid32, rho, u, u_ref, params_default, s_prime=2.0)
     expected = l2_norm(grid32, rho - params_default.rho_bar) / params_default.epsilon
     assert e0 == pytest.approx(expected, rel=1e-12)
 
 
 def test_es_monotone_in_s_prime(grid32, params_default):
     state = random_state(grid32, params_default, 34)
-    ref, _ = taylor_green(grid32, 0.0, params_default.nu)
+    u_ref, _ = taylor_green_velocity(grid32, 0.0, params_default.nu)
     rho, u = density_velocity(state.w(), params_default)
-    values = [error_functionals(rho, u, ref, params_default, s_prime=s)[1]
+    values = [error_functionals(grid32, rho, u, u_ref, params_default, s_prime=s)[1]
               for s in (0.5, 1.0, 2.0, 3.0)]
     assert all(a <= b * (1 + 1e-12) for a, b in zip(values, values[1:]))
 
@@ -163,13 +126,13 @@ def test_e0_equals_momentum_functional_at_s_zero(grid32, params_default):
     # replacing the velocity difference by the momentum difference at s' = 0
     # reproduces e0 exactly
     state = random_state(grid32, params_default, 35)
-    ref, _ = taylor_green(grid32, 0.0, params_default.nu)
+    u_ref, _ = taylor_green_velocity(grid32, 0.0, params_default.nu)
     rho, u = density_velocity(state.w(), params_default)
-    e0, _ = error_functionals(rho, u, ref, params_default, s_prime=2.0)
+    e0, _ = error_functionals(grid32, rho, u, u_ref, params_default, s_prime=2.0)
     p = params_default
     manual = (sobolev_norm(grid32, rho - p.rho_bar, 0.0) / p.epsilon
-              + sobolev_norm(grid32, np.stack([rho * u[0] - p.rho_bar * ref.u1,
-                                               rho * u[1] - p.rho_bar * ref.u2]), 0.0))
+              + sobolev_norm(grid32, np.stack([rho * u[0] - p.rho_bar * u_ref[0],
+                                               rho * u[1] - p.rho_bar * u_ref[1]]), 0.0))
     assert e0 == pytest.approx(manual, rel=1e-13)
 
 
@@ -177,24 +140,44 @@ def test_e0_equals_momentum_functional_at_s_zero(grid32, params_default):
 # deviation norms
 # ---------------------------------------------------------------------------
 
+def deviations(state):
+    return deviation_norms(state.f, state.w(), state.grid, state.params)
+
+
+@given(seed=st.integers(0, 2 ** 31))
+def test_deviation_norms_follow_the_change_of_variables(seed):
+    # f built from chosen (w, m, xi, k, h) by the inverse of the change of
+    # variables gives the deviations of those variables
+    g = Grid(16)
+    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+    w, m, xi, k, h = (random_state(g, p, seed + 100 * j).w() for j in range(5))
+    half = 0.5 * p.epsilon / p.lam
+    f = np.stack([0.5 * k + half * m, 0.5 * h + half * xi,
+                  0.5 * k - half * m, 0.5 * h - half * xi, w - k - h])
+    a1, a2 = fluxes(w, p) / p.epsilon
+    visc = p.tau * p.lam ** 2
+    want = (l2_norm(g, k - 2.0 * p.a * w), l2_norm(g, h - 2.0 * p.a * w),
+            l2_norm(g, m - a1 + visc * spectral_derivative(g, k, "x")),
+            l2_norm(g, xi - a2 + visc * spectral_derivative(g, h, "y")))
+    assert deviation_norms(f, w, g, p) == pytest.approx(want, rel=1e-12)
+
+
 def test_deviations_vanish_at_equilibrium(grid32, params_default):
-    rv = to_relaxation_vars(equilibrium_state(grid32, params_default))
-    devs = deviation_norms(rv, grid32, params_default)
+    devs = deviations(equilibrium_state(grid32, params_default))
     assert all(d < 1e-13 for d in devs)
 
 
 def test_deviations_kh_vanish_on_maxwellian_states(grid32, params_default):
     state = random_state(grid32, params_default, 40)
     maxw = KineticState(grid32, params_default, maxwellians(state.w(), params_default))
-    dev_k, dev_h, _, _ = deviation_norms(to_relaxation_vars(maxw), grid32, params_default)
+    dev_k, dev_h, _, _ = deviations(maxw)
     assert dev_k < 1e-13
     assert dev_h < 1e-13
 
 
 def test_deviations_mxi_vanish_on_well_prepared_data(grid32, params_default):
     # the gradient corrections cancel the viscous-flux term exactly at t = 0
-    rv = to_relaxation_vars(taylor_green_state(grid32, params_default))
-    _, _, dev_m, dev_xi = deviation_norms(rv, grid32, params_default)
+    _, _, dev_m, dev_xi = deviations(taylor_green_state(grid32, params_default))
     assert dev_m < 1e-12
     assert dev_xi < 1e-12
 
@@ -203,7 +186,7 @@ def test_relaxed_states_sit_on_manifold(grid32, params_default):
     # after dt >= 50 tau eps^2 the state is Maxwellian to round-off
     state = random_state(grid32, params_default, 41)
     out = relaxation_step(state, 50.0 * params_default.relaxation_time)
-    dev_k, dev_h, _, _ = deviation_norms(to_relaxation_vars(out), grid32, params_default)
+    dev_k, dev_h, _, _ = deviations(out)
     assert dev_k <= 1e-10
     assert dev_h <= 1e-10
 
@@ -213,10 +196,10 @@ def test_deviations_reject_bad_density(grid32, params_default, bad):
     # every diagnostic that divides by or recovers from rho checks it first;
     # compute_record recovers u and the pressure from rho
     state = equilibrium_state(grid32, params_default)
-    rv = to_relaxation_vars(state)
-    rv.w[0, 3, 5] = bad
+    w = state.w()
+    w[0, 3, 5] = bad
     with pytest.raises(NonPositiveDensity):
-        deviation_norms(rv, grid32, params_default)
+        deviation_norms(state.f, w, grid32, params_default)
     state.f[:, 0, 3, 5] = 0.0
     state.f[4, 0, 3, 5] = bad
     with pytest.raises(NonPositiveDensity):

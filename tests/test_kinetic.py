@@ -320,13 +320,15 @@ def test_run_rejects_bad_initial_density(grid32, params_default, rho, message):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("mode", ["spectral", "upwind"])
 def test_run_aborts_on_non_finite_momentum(grid32, params_default, mode, bad):
-    # the density stays positive, so only the finiteness check can catch it
-    f = taylor_green_state(grid32, params_default).f.copy()
-    f[4, 1, 5, 7] = bad
-    st0 = KineticState(grid32, params_default, f)
-    with pytest.raises(BlowupDetected, match="non-finite values in kinetic state") as exc_info:
-        run(st0, SolverConfig(t_end=0.1, transport_mode=mode))
-    assert exc_info.value.t_last_good == 0.0
+    # the density stays positive, so only the finiteness check can catch it;
+    # f[4] is at rest and f[0] moves along x
+    for entry in ((4, 1, 5, 7), (0, 2, 5, 7)):
+        f = taylor_green_state(grid32, params_default).f.copy()
+        f[entry] = bad
+        st0 = KineticState(grid32, params_default, f)
+        with pytest.raises(BlowupDetected, match="non-finite values in kinetic state") as exc:
+            run(st0, SolverConfig(t_end=0.1, transport_mode=mode))
+        assert exc.value.t_last_good == 0.0
 
 
 def test_spectral_and_upwind_agree_under_refinement():
