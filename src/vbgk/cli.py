@@ -68,8 +68,6 @@ def _parse_epsilons(raw: str) -> list[float]:
         eps = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"--epsilons expects comma-separated numbers, got {raw!r}")
-    if len(eps) < 3:
-        raise ConfigError(f"--epsilons needs at least 3 values, got {len(eps)}")
     return eps
 
 

@@ -25,9 +25,7 @@ class RunConfig:
     rho_bar: float
     n: int
     t_end: float
-    dt: float | None = None  # None: the automatic step (kinetic.SolverConfig)
     c_relax: float = 1.0
-    c_transp: float = 0.5
     transport_mode: str = "spectral"
     record_every: int = 10
     initial_data: str = "taylor_green"
@@ -72,8 +70,8 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
             raise ConfigError(f"duplicate key {key!r} (first on line {seen[key]})", lineno)
         seen[key] = lineno
 
-        if key in ("epsilon", "tau", "lambda", "nu", "rho_bar", "t_end", "dt",
-                   "c_relax", "c_transp", "s", "s_prime"):
+        if key in ("epsilon", "tau", "lambda", "nu", "rho_bar", "t_end", "c_relax",
+                   "s", "s_prime"):
             values[key] = _parse_float(key, value, lineno)
         elif key in ("n", "record_every"):
             values[key] = _parse_int(key, value, lineno)
@@ -113,10 +111,12 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
 
-    if "s" in values and not values["s"] > 0:
-        raise ConfigError(f"s must be positive, got {values['s']}", seen["s"])
-    if "s_prime" in values and not values["s_prime"] >= 0:
-        raise ConfigError(f"s_prime must be >= 0, got {values['s_prime']}", seen["s_prime"])
+    # chained comparisons are false for NaN, and the upper bounds reject inf
+    if "s" in values and not 0 < values["s"] < math.inf:
+        raise ConfigError(f"s must be finite and positive, got {values['s']}", seen["s"])
+    if "s_prime" in values and not 0 <= values["s_prime"] < math.inf:
+        raise ConfigError(f"s_prime must be finite and >= 0, got {values['s_prime']}",
+                          seen["s_prime"])
 
     values["lam"] = values.pop("lambda")
     return RunConfig(**values)

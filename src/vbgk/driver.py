@@ -49,9 +49,7 @@ def solver_config(cfg: RunConfig) -> kinetic.SolverConfig:
     try:
         return kinetic.SolverConfig(
             t_end=cfg.t_end,
-            dt=cfg.dt,
             c_relax=cfg.c_relax,
-            c_transp=cfg.c_transp,
             transport_mode=cfg.transport_mode,
             record_every=cfg.record_every,
         )
@@ -298,10 +296,13 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
     rows = [STUDY_HEADER] + [_study_row(eps, runs[eps]) for eps in ok]
     (out_dir / "study.csv").write_text("\n".join(rows) + "\n")
 
+    # a log-log fit needs every supremum above 0; on zero data some are 0
     fits: dict[str, diag.ConvergenceStudyResult] = {}
     if len(ok) >= 3:
         for name in RATE_FUNCTIONALS:
-            fits[name] = diag.fit_rate(ok, [runs[e].sup(name) for e in ok])
+            sups = [runs[e].sup(name) for e in ok]
+            if all(sup > 0.0 for sup in sups):
+                fits[name] = diag.fit_rate(ok, sups)
     (out_dir / "rates.txt").write_text(rates_report(cfg, fits, runs, ok, failures))
     return SweepOutput(epsilons=epsilons, runs=runs, fits=fits, failures=failures)
 
@@ -312,11 +313,16 @@ def rates_report(cfg: RunConfig, fits, runs, ok_epsilons, failures) -> str:
         f"epsilons: {', '.join(f'{e:g}' for e in ok_epsilons)}",
         "",
     ]
-    for name, fit in fits.items():
-        lines.append(
-            f"{name:8s} slope = {fit.slope: .4f}  intercept = {fit.intercept: .4f}"
-            f"  max residual = {fit.residual:.3e}"
-        )
+    for name in RATE_FUNCTIONALS:
+        fit = fits.get(name)
+        if fit is not None:
+            lines.append(
+                f"{name:8s} slope = {fit.slope: .4f}  intercept = {fit.intercept: .4f}"
+                f"  max residual = {fit.residual:.3e}"
+            )
+        elif len(ok_epsilons) >= 3:
+            zero = [f"{e:g}" for e in ok_epsilons if not runs[e].sup(name) > 0.0]
+            lines.append(f"{name:8s} not fitted: sup is 0 at eps = {', '.join(zero)}")
     delta_stmt = (cfg.s - cfg.s_prime) / (2.0 * cfg.s)
     delta_proof = cfg.s_prime / (2.0 * cfg.s)
     lines += [

@@ -48,7 +48,8 @@ cycle relaxes like the continuous model with tau replaced by
 tau * (c/2) * coth(c/2), so its effective viscosity is nu * (c/2) * coth(c/2)
 at every eps.  That is +8.2% at the default c_relax = 1, +2.1% at 0.5 and
 +0.5% at 0.25; runs that measure O(eps^2) deviations from the relaxation
-manifold need a small c_relax.
+manifold need a small c_relax.  It is the only step setting: the step is
+c * tau*eps^2 unless the transport bound of ``SolverConfig`` is smaller.
 """
 
 from __future__ import annotations
@@ -67,19 +68,20 @@ from .model import (
 )
 
 
+#: bound on the upwind CFL number lam*dt/(eps*dx) of every step of run()
+TRANSPORT_CFL = 0.5
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-stepping policy and diagnostics cadence.
 
-    dt None selects the automatic policy
-    dt = min(c_relax * tau*eps^2, c_transp * eps*dx/lam, remaining time);
-    a positive dt fixes the step instead.
+    Every step is dt = min(c_relax * tau*eps^2, TRANSPORT_CFL * eps*dx/lam),
+    the last one shortened to land on t_end.
     """
 
     t_end: float
-    dt: float | None = None
     c_relax: float = 1.0
-    c_transp: float = 0.5
     transport_mode: str = "spectral"
     record_every: int = 10
 
@@ -87,22 +89,20 @@ class SolverConfig:
         # chained comparisons are false for NaN, and the upper bound rejects inf
         if not 0 <= self.t_end < np.inf:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
-        if self.dt is not None and not 0 < self.dt < np.inf:
-            raise ValueError(f"fixed dt must be finite and positive, got {self.dt}")
-        if not (0 < self.c_relax < np.inf and 0 < self.c_transp < np.inf):
-            raise ValueError("dt policy multipliers must be finite and positive")
+        if not 0 < self.c_relax < np.inf:
+            raise ValueError(f"c_relax must be finite and positive, got {self.c_relax}")
         if self.transport_mode not in ("spectral", "upwind"):
             raise ValueError(f"unknown transport mode {self.transport_mode!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
     def dt_bounds(self, params, dx: float) -> tuple[float, float]:
-        """The automatic policy's relaxation and transport bounds on dt."""
+        """The relaxation and transport bounds on dt."""
         return (self.c_relax * params.relaxation_time,
-                self.c_transp * params.epsilon * dx / params.lam)
+                TRANSPORT_CFL * params.epsilon * dx / params.lam)
 
     def base_dt(self, params, dx: float) -> float:
-        return self.dt if self.dt is not None else min(self.dt_bounds(params, dx))
+        return min(self.dt_bounds(params, dx))
 
 
 # f_1..f_4 as (axis of motion, sign of velocity along it); axes: x is -2, y is -1
@@ -149,6 +149,7 @@ def _transport_spectral(ws: _Workspace, dt: float) -> None:
 
 def _transport_upwind(ws: _Workspace, dt: float) -> None:
     cfl = ws.params.lam * dt / (ws.params.epsilon * ws.grid.dx)
+    # run() keeps cfl <= TRANSPORT_CFL; transport_step and strang_step take any dt
     if cfl > 1.0 + 1e-12:
         raise CflViolation(f"upwind CFL = {cfl:.4g} exceeds 1")
     if ws.real is None:

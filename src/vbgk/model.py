@@ -141,15 +141,6 @@ def fluxes(w: np.ndarray, params: ModelParams, out: np.ndarray | None = None) ->
     return out
 
 
-def flux(j: int, w: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Flux A_j(w), j in {1, 2}; w has shape (3, ...)."""
-    if j not in (1, 2):
-        raise ValueError(f"flux index must be 1 or 2, got {j}")
-    w = np.asarray(w, dtype=float)
-    check_density(w[0])
-    return fluxes(w, params)[j - 1]
-
-
 def add_maxwellians(f: np.ndarray, w: np.ndarray, scale: float, params: ModelParams,
                     scratch: np.ndarray) -> None:
     """f += scale * M(w) in place, for f of shape (5, 3, ...) and w of shape (3, ...).
@@ -301,10 +292,11 @@ class SubcharacteristicReport:
     The box holds densities rho_bar*(1 +/- eps/2) and velocity components
     within +/- 2*u_max.  passed requires every characteristic speed of A_1',
     A_2' to stay below lam (so the kinetic speeds dominate the macroscopic
-    ones) and 1-4a > 0.  The minimum eigenvalue of the Maxwellian Jacobians
-    (`maxwellian_jacobians`) is reported as well.  It is non-negative
-    (monotone Maxwellians) only when 2*a*lam exceeds every characteristic
-    speed on the box, which near equilibrium needs nu/tau > lam*sqrt(P'(rho_bar)):
+    ones); 1-4a > 0 holds for every ModelParams.  The minimum eigenvalue of
+    the Maxwellian Jacobians (`maxwellian_jacobians`) is reported as well.
+    It is non-negative (monotone Maxwellians) only when 2*a*lam exceeds every
+    characteristic speed on the box, which near equilibrium needs
+    nu/tau > lam*sqrt(P'(rho_bar)):
     negative at lam = 2, nu = 0.01, tau = 1 (a = 0.00125), positive at
     lam = 3, nu = 1, tau = 0.25 (a = 2/9) for eps <= 0.1.  It is
     informational only and not part of the pass criterion.
@@ -331,7 +323,7 @@ def check_subcharacteristic(params: ModelParams, u_max: float) -> Subcharacteris
     m5 = 1.0 - 4.0 * params.a
     margin = params.lam - max_speed
     return SubcharacteristicReport(
-        passed=bool(margin > 0.0 and m5 > 0.0),
+        passed=bool(margin > 0.0),
         speed_margin=margin,
         max_char_speed=max_speed,
         m5_coefficient=m5,

@@ -75,6 +75,8 @@ def test_validate_parse_error_has_line_number(tmp_path, capsys):
     "c_relax = nan",
     "c_transp = nan",
     "snapshot_times = nan",
+    "s = inf",
+    "s_prime = inf",
 ])
 def test_run_bad_config_value_exits_1(tmp_path, capsys, line):
     key = line.split("=")[0].strip()
@@ -85,6 +87,17 @@ def test_run_bad_config_value_exits_1(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "line 0" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("line", ["dt = 1e-3", "c_transp = 0.5"])
+def test_step_settings_other_than_c_relax_are_unknown_keys(tmp_path, capsys, line, command):
+    cfg = write_cfg(tmp_path, BASE + line + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    key = line.split()[0]
+    line_no = len(BASE.splitlines()) + 1
+    assert capsys.readouterr().err == f"config error: line {line_no}: unknown key {key!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_equilibrium_records(tmp_path):
@@ -286,9 +299,28 @@ def test_sweep_frees_each_report_once_its_member_has_run(tmp_path, monkeypatch,
     assert dead == [[], [True], [True, True]]
 
 
-def test_sweep_rejects_too_few_epsilons(tmp_path):
+def test_sweep_rejects_too_few_epsilons(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     assert main(["sweep", "--config", cfg, "--epsilons", "0.2,0.1"]) == 1
+    # repeated values count once
+    assert main(["sweep", "--config", cfg, "--epsilons", "0.1,0.1,0.1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: sweep needs >= 3 epsilons, got 2",
+        "config error: sweep needs >= 3 epsilons, got 1",
+    ]
+
+
+def test_sweep_on_zero_data_exits_0_and_names_unfitted_functionals(tmp_path):
+    # at rest every functional is exactly 0, which no log-log fit takes; the
+    # sweep completes and names each functional it left out
+    cfg = write_cfg(tmp_path, BASE.replace("n = 32", "n = 16").replace("nu = 0.01", "nu = 1.0")
+                    .replace("tau = 1.0", "tau = 0.25").replace("lambda = 2.0", "lambda = 3.0")
+                    + "initial_data = zero\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
+    rates = (tmp_path / "sw" / "rates.txt").read_text().splitlines()
+    assert len((tmp_path / "sw" / "study.csv").read_text().splitlines()) == 5
+    assert rates[3:9] == [f"{name:8s} not fitted: sup is 0 at eps = 0.2, 0.1, 0.05, 0.025"
+                          for name in driver.RATE_FUNCTIONALS]
 
 
 def test_sweep_output_independent_of_member_order(tmp_path):

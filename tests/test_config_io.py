@@ -1,7 +1,11 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from vbgk.config import parse_config, parse_config_text
+from vbgk.config import RunConfig, parse_config, parse_config_text
 from vbgk.errors import ConfigError
 from vbgk.snapshots import read_snapshot, write_snapshot
 
@@ -25,7 +29,7 @@ def test_parse_good_config():
     assert cfg.epsilon == 0.1
     assert cfg.lam == 2.0
     assert cfg.n == 64
-    assert cfg.dt is None
+    assert cfg.c_relax == 1.0  # default
     assert cfg.record_every == 10
     assert cfg.initial_data == "taylor_green"
     assert cfg.s == 3.5  # default
@@ -63,12 +67,30 @@ def test_parse_missing_required_keys():
     assert "missing required" in str(exc_info.value)
 
 
-def test_parse_fixed_dt_policy():
-    # dt alone fixes the step; there is no dt_policy key
-    assert parse_config_text(GOOD + "\ndt = 1e-3\n").dt == 1e-3
-    with pytest.raises(ConfigError, match="unknown key 'dt_policy'") as exc_info:
-        parse_config_text(GOOD + "\ndt_policy = fixed\ndt = 1e-3\n")
-    assert exc_info.value.line == len(GOOD.splitlines()) + 2
+def test_parse_rejects_fixed_dt_policy():
+    # the step is min(c_relax*tau*eps^2, 0.5*eps*dx/lam) and has no other setting
+    for line in ("dt = 1e-3", "c_transp = 0.5", "dt_policy = fixed"):
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'") as exc_info:
+            parse_config_text(GOOD + "\n" + line + "\n")
+        assert exc_info.value.line == len(GOOD.splitlines()) + 2
+
+
+def test_readme_config_block_covers_every_key():
+    # the fenced block after "Configuration is plain text", its commented
+    # `# key = value` lines uncommented, parses and names every RunConfig field
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme[readme.index("Configuration is plain text"):]
+    block = after.split("```\n", 2)[1]
+    text = re.sub(r"^# (?=\w+ = )", "", block, flags=re.M)
+    parse_config_text(text, source="README.md")
+    keys = {line.split("=")[0].strip() for line in text.splitlines()
+            if "=" in line.split("#", 1)[0]}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    # lam is spelled lambda, and initial_data = file:PATH sets initial_data_path
+    expected = (fields - {"lam", "initial_data_path"}) | {"lambda"}
+    assert keys == expected
+    assert "file:" in block
 
 
 def test_parse_initial_data_forms(tmp_path):

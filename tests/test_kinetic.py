@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from vbgk.errors import BlowupDetected, CflViolation, NonPositiveDensity
+from vbgk.errors import BlowupDetected, CflViolation, ConstraintViolation, NonPositiveDensity
 from vbgk.grid import Grid, l2_norm
 from vbgk.kinetic import (
     SolverConfig,
@@ -243,9 +245,11 @@ def test_run_record_callback_cadence(grid32, params_default):
 
 def test_time_grid_partial_final_step():
     # 0.095 / 0.01: nine full steps and a half step; 4 does not divide 10
-    g = Grid(16)
+    g = Grid(8)
     p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
-    cfg = SolverConfig(t_end=0.095, dt=0.01, record_every=4)
+    cfg = SolverConfig(t_end=0.095, c_relax=1.0, record_every=4)
+    dt_relax, dt_transp = cfg.dt_bounds(p, g.dx)
+    assert dt_relax == pytest.approx(0.01, rel=1e-12) and dt_relax < dt_transp
     all_times, recorded = step_times(cfg, p, g.dx)
     assert len(all_times) == 10
     assert all_times[-1] == pytest.approx(0.095, rel=1e-12)
@@ -356,8 +360,26 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(t_end=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(t_end=1.0, dt=-0.1)
+        SolverConfig(t_end=1.0, c_relax=np.inf)
     with pytest.raises(ValueError):
         SolverConfig(t_end=1.0, transport_mode="corner")
     with pytest.raises(ValueError):
         SolverConfig(t_end=1.0, c_relax=0.0)
+    # c_relax is the only step setting
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "t_end", "c_relax", "transport_mode", "record_every"]
+
+
+@given(eps=st.floats(1e-3, 1.0), lam=st.floats(0.1, 100.0), tau=st.floats(1e-3, 10.0),
+       n=st.integers(4, 512).map(lambda k: 2 * k), c_relax=st.floats(1e-3, 1e3))
+def test_step_keeps_upwind_cfl_within_transport_bound(eps, lam, tau, n, c_relax):
+    # every accepted config steps at upwind CFL <= 0.5, far inside the limit 1
+    # that _transport_upwind enforces; recomputing the quotient from the step
+    # can round one ulp above 0.5
+    try:
+        p = make_params(eps, tau, lam, 0.01, 1.0)
+    except ConstraintViolation:
+        assume(False)
+    dx = Grid(n).dx
+    dt = SolverConfig(t_end=1.0, c_relax=c_relax).base_dt(p, dx)
+    assert lam * dt / (eps * dx) <= 0.5 * (1.0 + 1e-15)

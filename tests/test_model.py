@@ -12,8 +12,8 @@ from vbgk.diagnostics import relative_entropy_surrogate
 from vbgk.grid import Grid
 from vbgk.model import (
     check_subcharacteristic,
-    flux,
     flux_jacobian,
+    fluxes,
     initial_kinetic_state,
     make_params,
     maxwellian_jacobians,
@@ -76,10 +76,14 @@ def test_a_identity_for_accepted_params(tau, lam, nu):
 # pressure and fluxes
 # ---------------------------------------------------------------------------
 
+def rest_w(rho):
+    rho = np.asarray(rho, dtype=float)
+    return np.stack([rho, np.zeros_like(rho), np.zeros_like(rho)])
+
+
 def flux_pressure(rho, params):
     """P(rho), read as the q1 row of A_1 at zero momentum."""
-    rho = np.asarray(rho, dtype=float)
-    return flux(1, np.stack([rho, np.zeros_like(rho), np.zeros_like(rho)]), params)[1]
+    return fluxes(rest_w(rho), params)[0, 1]
 
 
 def test_pressure_values(params_default):
@@ -90,10 +94,11 @@ def test_pressure_values(params_default):
 
 
 def test_pressure_rejects_non_positive_density(params_default):
+    # fluxes leaves the density check to its callers; maxwellians makes it
     with pytest.raises(NonPositiveDensity):
-        flux_pressure(0.0, params_default)
+        maxwellians(rest_w(0.0), params_default)
     with pytest.raises(NonPositiveDensity):
-        flux_pressure(np.array([1.0, -0.5]), params_default)
+        maxwellians(rest_w(np.array([1.0, -0.5])), params_default)
 
 
 def test_pressure_strictly_increasing(params_default):
@@ -104,16 +109,14 @@ def test_pressure_strictly_increasing(params_default):
 
 def test_flux_hand_values(params_default):
     w = np.array([1.0, 0.1, 0.2])
-    a1 = flux(1, w, params_default)
-    a2 = flux(2, w, params_default)
+    a1, a2 = fluxes(w, params_default)
     assert a1 == pytest.approx([0.1, 0.01, 0.02], abs=1e-15)
     assert a2 == pytest.approx([0.2, 0.02, 0.04], abs=1e-15)
 
 
 def test_flux_zero_momentum(params_default):
     w = np.array([1.0, 0.0, 0.0])
-    assert np.all(flux(1, w, params_default) == 0.0)
-    assert np.all(flux(2, w, params_default) == 0.0)
+    assert np.all(fluxes(w, params_default) == 0.0)
 
 
 @given(seed=st.integers(0, 2 ** 31))
@@ -121,8 +124,8 @@ def test_flux_swap_symmetry(seed, params_default):
     # swapping q1 <-> q2 exchanges A1 and A2 with middle/last rows swapped
     w = admissible_w(seed, 8)
     w_sw = np.stack([w[0], w[2], w[1]])
-    a1s = flux(1, w_sw, params_default)
-    a2 = flux(2, w, params_default)
+    a1s = fluxes(w_sw, params_default)[0]
+    a2 = fluxes(w, params_default)[1]
     assert np.allclose(a1s, np.stack([a2[0], a2[2], a2[1]]), atol=1e-14)
 
 
@@ -141,8 +144,7 @@ def test_maxwellians_equal_flux_stack(params_default):
     # one pressure evaluation must give exactly the flux-based formula
     w = admissible_w(7, 64).reshape(3, 8, 8)
     a, half = params_default.a, 1.0 / (2.0 * params_default.lam)
-    a1 = flux(1, w, params_default) * half
-    a2 = flux(2, w, params_default) * half
+    a1, a2 = fluxes(w, params_default) * half
     expected = np.stack([a * w + a1, a * w + a2, a * w - a1, a * w - a2,
                          (1.0 - 4.0 * a) * w])
     assert np.array_equal(maxwellians(w, params_default), expected)
@@ -158,7 +160,7 @@ def test_compatibility_identities(seed, params_default):
     assert np.max(np.abs(m.sum(axis=0) - w)) < 1e-12
     for j in (1, 2):
         lhs = np.einsum("i,ic...->c...", VELOCITY_MATRIX[:, j - 1] * params_default.lam, m)
-        rhs = flux(j, w, params_default)
+        rhs = fluxes(w, params_default)[j - 1]
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
