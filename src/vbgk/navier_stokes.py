@@ -16,7 +16,12 @@ forms the velocity (2, n, n) with one stacked inverse transform.  Velocities
 pass between functions as plain (2, n, n) arrays; only NsState, the state
 that ns_step takes and returns, runs a divergence check.  The driver's
 ReferenceTrajectory keeps a VorticityFlow from one record to the next, so a
-record converts only vorticity to velocity and pressure.
+record converts only vorticity to velocity and pressure.  On any data but
+Taylor-Green a run steps that trajectory in a forked child process
+(``driver.ForkedReference``), one record ahead of the kinetic run: the child
+writes each record's (u1, u2, p) into one of two slots of a shared mmap and
+the run reads it from there.  The slot protocol is in the ``driver``
+docstring; nothing in this module depends on which process runs it.
 
 Each RK4 stage takes one stacked inverse transform of (u1, u2, dw/dx, dw/dy),
 written into buffers made once per kernel call, and one forward transform of

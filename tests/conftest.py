@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -45,3 +47,18 @@ def params_default():
     from vbgk.model import make_params
 
     return make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped.
+
+    A run on file or zero data forks its reference process and must reap it
+    on every path, so that no process outlives a CLI command.
+    """
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process " + ("running" if pid == 0 else "unreaped"))
