@@ -59,5 +59,11 @@ class BlowupDetected(VbgkError):
     """
 
     def __init__(self, message, t_last_good):
+        self.message = message
         self.t_last_good = t_last_good
         super().__init__(f"{message} (last good time t={t_last_good:.6g})")
+
+    def __reduce__(self):
+        # Exception's own reduce passes only the formatted text to __init__;
+        # a sweep member that blows up in a forked child is sent back pickled
+        return type(self), (self.message, self.t_last_good)

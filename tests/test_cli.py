@@ -1,3 +1,4 @@
+import os
 import re
 import weakref
 
@@ -275,28 +276,49 @@ def test_sweep_invalid_member_fails_before_any_run(tmp_path, monkeypatch):
 @pytest.mark.parametrize("first_member_blows_up", [False, True])
 def test_sweep_frees_each_report_once_its_member_has_run(tmp_path, monkeypatch,
                                                          first_member_blows_up):
-    # only the member being run needs its ValidationReport and initial velocity;
-    # a member that blew up keeps its error, but not the frames of its run
-    refs, dead = [], []
-    run_simulation, run = driver.run_simulation, kinetic.run
+    # the parent keeps the ValidationReport, with its initial velocity, of
+    # only the members it has still to run: those of a forked child are
+    # dropped once the child is forked, its own once each has run; a member
+    # that blew up keeps its error, but not the frames of its run
+    refs, alive = {}, {}
+    validated, run_simulation, run = driver.validated, driver.run_simulation, kinetic.run
+
+    def recorded(cfg):
+        report = validated(cfg)
+        refs[cfg.epsilon] = weakref.ref(report)
+        return report
 
     def wrapped(cfg, report):
-        dead.append([ref() is None for ref in refs])
-        refs.append(weakref.ref(report))
+        alive[cfg.epsilon] = sorted(eps for eps, ref in refs.items() if ref() is not None)
         return run_simulation(cfg, report)
 
-    def blows_up_first(*args):
-        if first_member_blows_up and len(refs) == 1:
+    def blows_up(state, *args):
+        # 0.2 runs in this process, 0.19 in the child when there are two
+        if first_member_blows_up and state.params.epsilon in (0.2, 0.19):
             raise BlowupDetected("injected", 0.0)
-        return run(*args)
+        return run(state, *args)
 
+    monkeypatch.setattr(driver, "validated", recorded)
     monkeypatch.setattr(driver, "run_simulation", wrapped)
-    monkeypatch.setattr(kinetic, "run", blows_up_first)
-    cfg = write_cfg(tmp_path, BASE.replace("t_end = 0.05", "t_end = 0.01")
-                    + "transport_mode = upwind\n")
-    assert main(["sweep", "--config", cfg, "--epsilons", "0.2,0.1,0.05",
-                 "--out", str(tmp_path / "sw")]) == (3 if first_member_blows_up else 0)
-    assert dead == [[], [True], [True, True]]
+    monkeypatch.setattr(kinetic, "run", blows_up)
+    cfg = parse_config_text(BASE.replace("t_end = 0.05", "t_end = 0.01")
+                            + "transport_mode = upwind\n")
+    # the step counts go as 1/eps, so two bins are {0.2, 0.17} and {0.19, 0.18}
+    epsilons = [0.2, 0.19, 0.18, 0.17]
+    expected = {
+        1: {0.2: epsilons[::-1], 0.19: [0.17, 0.18, 0.19], 0.18: [0.17, 0.18], 0.17: [0.17]},
+        2: {0.2: [0.17, 0.2], 0.17: [0.17]},
+    }
+    for cpus, alive_at_run in expected.items():
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        refs.clear()
+        alive.clear()
+        sweep = driver.run_sweep(cfg, epsilons, tmp_path / f"sw{cpus}")
+        assert alive == alive_at_run
+        assert [ref() for ref in refs.values()] == [None] * 4
+        assert sorted(sweep.failures) == ([0.19, 0.2] if first_member_blows_up else [])
+        for eps in sweep.failures:
+            assert sweep.runs[eps].error.__traceback__ is None
 
 
 def test_sweep_rejects_too_few_epsilons(tmp_path, capsys):
