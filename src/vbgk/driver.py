@@ -3,25 +3,27 @@
 All CSV output uses 17-significant-digit floats so files round-trip losslessly
 and byte-identical reruns can be asserted.
 
+The Navier-Stokes reference of a run and the members of a sweep run in
+forked children through one channel, ``ForkedChannel``.  The child iterates
+a generator and sends each item over one pipe: a pickled header (the value
+and its arrays' shapes), then the arrays' raw float64 bytes, never pickled.
+The parent reads the header, then the bytes with ``readinto`` into one
+buffer it allocated once, and hands out views valid until the next item; a
+short read raises EOFError, so a partly sent item is never handed out.  An
+exception out of the generator is sent in place of an item and raised in
+the parent.  The child ends with ``os._exit`` (no stdio flush, no atexit
+handlers); ``close`` kills and reaps it, whatever it is doing.  The pipe is
+asked to hold ``PIPE_BYTES``, a whole record up to n = 209, so the child
+writes one without waiting; a full pipe blocks it, which bounds how far it
+runs ahead.
+
 A run on any data but Taylor-Green steps its Navier-Stokes reference in a
-forked child process (``ForkedReference``), so the reference overlaps the
-kinetic steps and records instead of adding to them.  The reference does not
-depend on the kinetic state and the run's record times are known before it
-starts (``kinetic.step_times``), so the child walks those times through
-``ReferenceTrajectory.at``, the one reference code path.  The slot protocol:
-
-* a shared anonymous mmap holds two slots, each a (3, n, n) float array of
-  (u1, u2, p); record k goes to slot k % 2;
-* after filling a slot the child sends the pickled pair (t, None) over a
-  "ready" pipe; if ``at`` raised, it sends (t, error) instead and stops;
-* the parent hands slot (k - 1) % 2 back, one byte over a "free" pipe, when
-  it asks for record k, so the child runs at most one record ahead; the
-  parent checks that the slot's t equals the requested t exactly and raises
-  a reported error at that record, with its type and message;
-* the child ends with ``os._exit`` (no stdio flush, no atexit handlers), on
-  its last record, an error, or EOF or EPIPE on either pipe; ``close``
-  closes the parent's ends and reaps the child with ``waitpid``.
-
+child (``ForkedReference``), so the reference overlaps the kinetic steps and
+records instead of adding to them.  The reference does not depend on the
+kinetic state and the run's record times are known before it starts
+(``kinetic.step_times``), so the child walks those times through
+``ReferenceTrajectory.at``, the one reference code path, and sends record k
+as (t, u, p); the parent checks that t equals the requested time exactly.
 The fork comes just before ``kinetic.run``, after the run's other set-up: in
 a prototype that forked at the start of ``run_simulation``, the child's work
 competed with the parent's set-up, which took 8-24% longer on 2 vCPU.
@@ -31,35 +33,31 @@ A sweep spreads its members over k = min(members, usable CPUs) processes,
 since numpy work overlaps across processes and not across threads.  Every
 member is validated first.  The members are then split into k bins by
 longest processing time first (``step_bins``), a member's cost being its
-step count t_end / dt; every member has the same n.  The member-process
-protocol (``MemberProcess``):
-
-* the parent forks one child per bin after the first and then runs bin 0,
-  the largest, itself, so its own run starts as soon as a serial sweep's;
-* a child runs its members with ``run_simulation``, in member order up to
-  the first that raises, sends the pickled pair ({eps: SimulationOutput},
-  None or (eps, error)) over a pipe and ends with ``os._exit``;
-* the parent reads each pipe to EOF before ``waitpid`` (a child's records
-  can exceed the pipe buffer); EOF with nothing read raises a RuntimeError
-  naming the child's epsilons; a child whose results were not read, after
-  an error in the parent, is killed and reaped;
-* an error out of a member is raised once every child is done: the first
-  failing member's in member order, as in a serial sweep.
+step count t_end / dt; every member has the same n.  The parent forks one
+child per bin after the first and then runs bin 0, the largest, itself, so
+its own run starts as soon as a serial sweep's.  A child sends one item,
+({eps: SimulationOutput}, None or (eps, error)) of its members run in order
+up to the first that raises.  A child that ends without it is named in a
+RuntimeError.  An error out of a member is raised once every child is done:
+the first failing member's in member order, as in a serial sweep.
 
 The LAPACK calls, ``eigvals`` in validate and ``polyfit`` in the rate fits,
-stay in the parent before the fork and after the join; members run
-transforms and elementwise numpy code only.  The parent writes every file
-in member order, so the files do not depend on k; with k = 1 nothing forks.
-Sweep members capture no snapshots, which a sweep never writes.  A
-file-data member forks its own reference as well: in a 4-member n = 64
-sweep on 2 vCPU, that was faster than an in-process reference inside a
-member process in 11 of 12 alternating pairs.
+stay in the parent before the fork and after the join; children run
+transforms and elementwise numpy code only, none of which uses the BLAS
+threads that numpy may have started in the parent and that the fork does not
+copy.  The parent writes every file in member order, so the files do not
+depend on k; with k = 1 no member forks.  Sweep members capture no
+snapshots, which a sweep never writes.  A file-data member forks its own
+reference as well: in a 4-member n = 64 sweep on 2 vCPU, that was faster
+than an in-process reference inside a member process in 11 of 12
+alternating pairs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import mmap
+import fcntl
+import math
 import os
 import pickle
 from dataclasses import dataclass
@@ -81,6 +79,9 @@ from .model import ModelParams
 
 #: records.csv columns whose sup over a run is fitted against epsilon
 RATE_FUNCTIONALS = ("e0", "es", "dev_k", "dev_h", "dev_m", "dev_xi")
+
+#: size asked for the pipe of a ForkedChannel, Linux's default pipe-max-size
+PIPE_BYTES = 1 << 20
 
 STUDY_HEADER = ",".join(["epsilon"] + [f"sup_{name}" for name in RATE_FUNCTIONALS]
                         + [f"press_err_{phi}" for phi in diag.PRESSURE_TEST_FUNCTIONS])
@@ -176,10 +177,19 @@ class ValidationReport:
 
 
 def validate(cfg: RunConfig) -> ValidationReport:
-    """Parameter constraints plus the sub-characteristic box check."""
+    """Parameter constraints plus the sub-characteristic box check.
+
+    A step that is not positive, as when tau*eps^2 or c_relax * tau*eps^2
+    underflows to 0, raises ConstraintViolation: no run could end.
+    """
     params = build_params(cfg)
     grid = build_grid(cfg)
     solver = solver_config(cfg)
+    dt_relax, dt_transp = solver.dt_bounds(params, grid.dx)
+    if not min(dt_relax, dt_transp) > 0:
+        raise ConstraintViolation(
+            f"time step dt = min(relaxation bound {dt_relax:.6g}, transport bound"
+            f" {dt_transp:.6g}) is not positive")
     u0 = initial_velocity(cfg, grid)
     u_max = float(np.max(np.sqrt(u0[0] ** 2 + u0[1] ** 2)))
     return ValidationReport(
@@ -230,86 +240,111 @@ class ReferenceTrajectory:
         return self._u, navier_stokes.pressure_from_velocity(self._grid, self._u)
 
 
-class ForkedReference:
-    """reference.at at the increasing record times, stepped in a forked child.
+class ForkedChannel:
+    """The items (value, arrays) of a generator iterated in a forked child.
 
-    ``at(t)`` must be asked for the times in order and returns views into a
-    shared slot, valid until the next call; ``close`` ends the child.  The
-    slot protocol is in the module docstring.
+    ``receive`` returns them in order, the arrays as views valid until the
+    next call; ``close`` ends the child.  The protocol is in the module
+    docstring.
     """
 
-    def __init__(self, reference: ReferenceTrajectory, times: list[float], n: int):
-        self._records = len(times)
-        self._k = 0
-        self._slots = np.ndarray((2, 3, n, n), buffer=mmap.mmap(-1, 2 * 3 * n * n * 8))
-        ready_r, ready_w = os.pipe()
-        free_r, free_w = os.pipe()
+    def __init__(self, items):
+        read_fd, write_fd = os.pipe()
+        try:
+            # at the default 64 KiB an n = 128 record took six round trips, and
+            # vortex_reference waited 2 ms per record in the median, not 0.2 ms
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except OSError:
+            pass  # over the system's limit: the default pipe only costs time
         try:
             self._pid = os.fork()
         except OSError:
-            for fd in (ready_r, ready_w, free_r, free_w):
-                os.close(fd)
+            os.close(read_fd)
+            os.close(write_fd)
             raise
         if self._pid == 0:
-            os.close(ready_r)
-            os.close(free_w)
-            _serve_reference(reference, times, self._slots, ready_w, free_r)
-        os.close(ready_w)
-        os.close(free_r)
-        self._ready = os.fdopen(ready_r, "rb")
-        self._free = free_w
+            os.close(read_fd)
+            _serve(items, write_fd)
+        os.close(write_fd)
+        self._pipe = os.fdopen(read_fd, "rb")
+        self._buffer = np.empty(0)
 
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        k = self._k
-        if 0 < k < self._records - 1:
-            try:
-                os.write(self._free, b"\0")  # slot (k - 1) % 2 takes record k + 1
-            except BrokenPipeError:
-                pass  # the child has stopped; what it sent is still in the ready pipe
+    def receive(self) -> tuple[object, list[np.ndarray]]:
         try:
-            t_slot, error = pickle.load(self._ready)
-        except EOFError:
-            raise RuntimeError(f"reference process ended before record {k} at t = {t!r}") \
-                from None
-        if error is not None:
-            raise error
-        if t_slot != t:
-            raise RuntimeError(f"reference record {k} is at t = {t_slot!r}, not t = {t!r}")
-        self._k += 1
-        slot = self._slots[k % 2]
-        return slot[:2], slot[2]
+            value, shapes = pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise EOFError from None
+        if shapes is None:
+            raise value
+        sizes = [math.prod(shape) for shape in shapes]
+        if sum(sizes) > self._buffer.size:
+            self._buffer = np.empty(sum(sizes))
+        data = self._buffer[:sum(sizes)]
+        if self._pipe.readinto(data) != data.nbytes:
+            raise EOFError
+        parts = np.split(data, np.cumsum(sizes)[:-1])
+        return value, [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
     def close(self) -> None:
-        """Close the pipes, so a waiting child exits, and reap the child."""
-        os.close(self._free)
-        self._ready.close()
+        """Close the pipe, kill the child and reap it."""
+        # imported only here: at start-up it adds about 0.15 MB to the peak
+        # RSS of every process, forking or not
+        import signal
+
+        self._pipe.close()
+        os.kill(self._pid, signal.SIGKILL)
         os.waitpid(self._pid, 0)
 
 
-def _serve_reference(reference, times, slots, ready_fd: int, free_fd: int):
-    """The forked child's body: fill slots at times until done, then os._exit.
-
-    It runs transforms and elementwise numpy code only, none of which uses
-    the BLAS threads that numpy may have started in the parent and that the
-    fork does not copy.
-    """
+def _serve(items, write_fd: int):
+    """The forked child's body: send each item of items, or what raised in
+    place of the next one, then os._exit."""
     try:
-        with os.fdopen(ready_fd, "wb") as ready:
-            for k, t in enumerate(times):
-                # from record 2 on, wait until the parent frees slot k % 2
-                if k >= 2 and not os.read(free_fd, 1):
-                    break
-                try:
-                    u, p = reference.at(t)
-                except Exception as exc:
-                    pickle.dump((t, exc), ready)
-                    break
-                slots[k % 2, :2] = u
-                slots[k % 2, 2] = p
-                pickle.dump((t, None), ready)
-                ready.flush()
+        with os.fdopen(write_fd, "wb") as pipe:
+            try:
+                for value, arrays in items:
+                    arrays = [np.ascontiguousarray(a, dtype=float) for a in arrays]
+                    pipe.write(pickle.dumps((value, [a.shape for a in arrays])))
+                    for a in arrays:
+                        pipe.write(a)
+                    pipe.flush()
+            except Exception as exc:
+                pipe.write(pickle.dumps((exc, None)))
     finally:
         os._exit(0)
+
+
+class ForkedReference:
+    """reference.at at the increasing record times, stepped in a forked child.
+
+    ``at(t)`` must be asked for the times in order and returns views valid
+    until the next call; ``close`` ends the child.
+    """
+
+    def __init__(self, reference: ReferenceTrajectory, times: list[float]):
+        self._k = 0
+        self._child = ForkedChannel(_reference_records(reference, times))
+
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        k = self._k
+        try:
+            t_sent, (u, p) = self._child.receive()
+        except EOFError:
+            raise RuntimeError(f"reference process ended before record {k} at t = {t!r}") \
+                from None
+        if t_sent != t:
+            raise RuntimeError(f"reference record {k} is at t = {t_sent!r}, not t = {t!r}")
+        self._k += 1
+        return u, p
+
+    def close(self) -> None:
+        self._child.close()
+
+
+def _reference_records(reference: ReferenceTrajectory, times):
+    """(t, (u, p)) at each of times, for a ForkedChannel."""
+    for t in times:
+        yield t, reference.at(t)
 
 
 @dataclass
@@ -351,7 +386,7 @@ def run_simulation(cfg: RunConfig,
     forked = None
     if cfg.initial_data != "taylor_green":
         _, times = kinetic.step_times(report.solver, params, grid.dx)
-        reference = forked = ForkedReference(reference, times, grid.n)
+        reference = forked = ForkedReference(reference, times)
 
     records: list[diag.DiagnosticsRecord] = []
     captured: dict[float, model.KineticState] = {}
@@ -489,11 +524,18 @@ def _run_bins(members, bins) -> dict[float, SimulationOutput]:
     children = []
     try:
         for epsilons in bins[1:]:
-            children.append(MemberProcess({eps: members.pop(eps) for eps in epsilons}))
+            children.append(ForkedChannel(
+                _member_results({eps: members.pop(eps) for eps in epsilons})))
         runs, error = _run_members({eps: members.pop(eps) for eps in bins[0]})
         errors = [] if error is None else [error]
-        for child in children:
-            child_runs, error = child.results()
+        for epsilons, child in zip(bins[1:], children):
+            try:
+                (child_runs, error), _ = child.receive()
+            except EOFError:
+                raise RuntimeError(
+                    "sweep member process for eps = "
+                    f"{', '.join(f'{e:g}' for e in epsilons)} ended without its results") \
+                    from None
             runs.update(child_runs)
             if error is not None:
                 errors.append(error)
@@ -521,64 +563,9 @@ def _run_members(members) -> tuple[dict[float, SimulationOutput], tuple | None]:
     return runs, None
 
 
-class MemberProcess:
-    """Sweep members run by _run_members in a forked child.
-
-    ``results()`` reads the child's pickled (runs, error) to EOF, reaps the
-    child and returns them; ``close`` kills and reaps a child whose results
-    were not read.  The protocol is in the module docstring.
-    """
-
-    def __init__(self, members):
-        self._epsilons = list(members)
-        read_fd, write_fd = os.pipe()
-        try:
-            self._pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self._pid == 0:
-            os.close(read_fd)
-            _serve_members(members, write_fd)
-        os.close(write_fd)
-        self._results = os.fdopen(read_fd, "rb")
-
-    def results(self) -> tuple[dict[float, SimulationOutput], tuple | None]:
-        with self._results:
-            data = self._results.read()
-        os.waitpid(self._pid, 0)
-        self._pid = None
-        if not data:
-            raise RuntimeError(
-                "sweep member process for eps = "
-                f"{', '.join(f'{e:g}' for e in self._epsilons)} ended without its results")
-        return pickle.loads(data)
-
-    def close(self) -> None:
-        if self._pid is not None:
-            # imported only here: at start-up it adds about 0.15 MB to the
-            # peak RSS of every process, sweep or not
-            import signal
-
-            self._results.close()
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-
-
-def _serve_members(members, write_fd: int):
-    """The forked child's body: run the members, send their results, os._exit.
-
-    If the results do not pickle, or the child is stopped, it sends nothing
-    and the parent reads EOF.
-    """
-    try:
-        data = pickle.dumps(_run_members(members))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(data)
-    finally:
-        os._exit(0)
+def _member_results(members):
+    """The one item of a member process: _run_members(members), no arrays."""
+    yield _run_members(members), ()
 
 
 def rates_report(cfg: RunConfig, fits, runs, ok_epsilons, failures) -> str:

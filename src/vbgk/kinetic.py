@@ -217,7 +217,10 @@ def _time_grid(cfg: SolverConfig, dt_base: float):
     """(step, t, dt, is_record) after each step: the one time loop of the module.
 
     The last step is shortened to land on cfg.t_end and is always recorded.
+    A dt_base that is not positive raises ValueError: the loop would not end.
     """
+    if not dt_base > 0:
+        raise ValueError(f"time step must be positive, got {dt_base!r}")
     t = 0.0
     step = 0
     t_eps = 1e-12 * max(1.0, cfg.t_end)

@@ -101,6 +101,25 @@ def test_step_settings_other_than_c_relax_are_unknown_keys(tmp_path, capsys, lin
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+@pytest.mark.parametrize("eps, line", [
+    (1e-15, "c_relax = 1e-300"),  # c_relax * tau*eps^2 = 1e-330 underflows to 0
+    (1e-200, ""),  # tau*eps^2 = 1e-400 underflows to 0
+], ids=["c_relax", "eps"])
+def test_step_that_underflows_to_0_is_a_constraint_violation(tmp_path, capsys, command,
+                                                             eps, line):
+    text = BASE.replace("n = 32", "n = 16").replace("epsilon = 0.1", f"epsilon = {eps:g}")
+    cfg = write_cfg(tmp_path, text + f"transport_mode = upwind\n{line}\n")
+    args = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        args += ["--epsilons", f"{eps:g},{2 * eps:g},{3 * eps:g}"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"constraint violation: time step dt = min\(relaxation bound 0, "
+                        r"transport bound \d\.\d+e-\d+\) is not positive\n", err)
+
+
 def test_run_equilibrium_records(tmp_path):
     cfg = write_cfg(tmp_path, BASE.replace("t_end = 0.05", "t_end = 1.0")
                     + "initial_data = zero\n"

@@ -4,7 +4,10 @@ A stand-in with ForkedReference's interface over the in-process
 ReferenceTrajectory gives the serial run each test compares with.
 """
 
+import dataclasses
 import os
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -31,23 +34,23 @@ record_every = 1
 class SerialReference:
     """ForkedReference's interface over the reference itself, with no child."""
 
-    def __init__(self, reference, times, n):
+    def __init__(self, reference, times):
         self.at = reference.at
 
     def close(self):
         pass
 
 
-def file_config(tmp_path):
+def file_config(tmp_path, n=32):
     """BASE on a divergence-free velocity u = (d psi/dy, -d psi/dx) read from a file."""
-    g = Grid(32)
+    g = Grid(n)
     x, y = g.x, g.y
     # psi = 0.5 sin(x + 2y) + 0.3 cos(3x - y)
     u1 = np.cos(x + 2 * y) + 0.3 * np.sin(3 * x - y)
     u2 = -0.5 * np.cos(x + 2 * y) + 0.9 * np.sin(3 * x - y)
     path = tmp_path / "u0.vbgk"
     write_snapshot(path, np.stack([u1, u2]), 0.0)
-    text = BASE + f"initial_data = file:{path}\n"
+    text = BASE.replace("n = 32", f"n = {n}") + f"initial_data = file:{path}\n"
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
     return str(cfg_path), parse_config_text(text)
@@ -70,14 +73,20 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_forked_reference_equals_serial_at_every_record_time(tmp_path):
-    _, cfg = file_config(tmp_path)
+@pytest.mark.parametrize("n", [32, 256])
+def test_forked_reference_equals_serial_at_every_record_time(tmp_path, n):
+    # a record is 3 n^2 doubles: 24 KiB at n = 32 and 1.5 MiB at n = 256,
+    # more than the channel's pipe holds, so there the child blocks partway
+    # through writing each record; t_end goes as dx, so every n has 12 records
+    _, cfg = file_config(tmp_path, n)
+    cfg = dataclasses.replace(cfg, t_end=0.05 * 32 / n)
     report = driver.validate(cfg)
     _, times = kinetic.step_times(report.solver, report.params, report.grid.dx)
-    assert len(times) > 4  # both slots are handed back and filled again
+    assert len(times) == 12
+    assert n == 32 or 3 * n * n * 8 > driver.PIPE_BYTES
     serial = driver.ReferenceTrajectory(cfg, report.grid, report.u0)
     forked = driver.ForkedReference(driver.ReferenceTrajectory(cfg, report.grid, report.u0),
-                                    times, 32)
+                                    times)
     try:
         for t in times:
             u_ref, p_ref = forked.at(t)
@@ -94,13 +103,41 @@ def test_forked_reference_rejects_a_time_it_was_not_given(tmp_path):
     report = driver.validate(cfg)
     _, times = kinetic.step_times(report.solver, report.params, report.grid.dx)
     forked = driver.ForkedReference(driver.ReferenceTrajectory(cfg, report.grid, report.u0),
-                                    times, 32)
+                                    times)
     try:
         forked.at(0.0)
         with pytest.raises(RuntimeError, match=f"record 1 is at t = {times[1]!r}, not t = "):
             forked.at(times[2])
     finally:
         forked.close()
+
+
+def test_record_cut_short_is_not_handed_out(tmp_path, monkeypatch):
+    # the child sends records 0 and 1 whole, then record 2's header and the
+    # first 1000 bytes of its arrays, and exits
+    _, cfg = file_config(tmp_path)
+    report = driver.validate(cfg)
+    _, times = kinetic.step_times(report.solver, report.params, report.grid.dx)
+    serve = driver._serve
+
+    def cut_in_record_2(items, write_fd):
+        def items_then_cut():
+            for k, (t, (u, p)) in enumerate(items):
+                if k == 2:
+                    header = pickle.dumps((t, [u.shape, p.shape]))
+                    os.write(write_fd, header + u.tobytes()[:1000])
+                    os._exit(0)
+                yield t, (u, p)
+
+        serve(items_then_cut(), write_fd)
+
+    monkeypatch.setattr(driver, "_serve", cut_in_record_2)
+    records = count_records(monkeypatch)
+    message = f"reference process ended before record 2 at t = {times[2]!r}"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        driver.run_simulation(cfg)
+    assert records == times[:2]
+    assert_no_child_process()
 
 
 def test_file_data_records_byte_identical_to_serial_reference(tmp_path, monkeypatch):

@@ -260,6 +260,18 @@ def test_time_grid_partial_final_step():
     assert seen == list(zip([0, 4, 8, 10], recorded))
 
 
+@pytest.mark.parametrize("eps, c_relax", [(1e-15, 1e-300), (1e-200, 1.0)])
+def test_step_that_underflows_to_0_raises_instead_of_looping(eps, c_relax):
+    g = Grid(8)
+    p = make_params(eps, 1.0, 2.0, 0.01, 1.0)
+    cfg = SolverConfig(t_end=0.05, c_relax=c_relax)
+    assert cfg.base_dt(p, g.dx) == 0.0
+    with pytest.raises(ValueError, match=r"^time step must be positive, got 0\.0$"):
+        step_times(cfg, p, g.dx)
+    with pytest.raises(ValueError, match=r"^time step must be positive, got 0\.0$"):
+        run(equilibrium_state(g, p), cfg)
+
+
 @pytest.mark.parametrize("record_every", [1, 7])
 @pytest.mark.parametrize("mode", ["spectral", "upwind"])
 def test_run_matches_strang_step_loop(mode, record_every):
