@@ -117,6 +117,11 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
     if "s_prime" in values and not 0 <= values["s_prime"] < math.inf:
         raise ConfigError(f"s_prime must be finite and >= 0, got {values['s_prime']}",
                           seen["s_prime"])
+    # a time past t_end is never reached and one before 0 would be taken at 0
+    outside = [t for t in values.get("snapshot_times", ()) if not 0 <= t <= values["t_end"]]
+    if outside:
+        raise ConfigError(f"snapshot time {outside[0]!r} lies outside [0, t_end = "
+                          f"{values['t_end']!r}]", seen["snapshot_times"])
 
     values["lam"] = values.pop("lambda")
     return RunConfig(**values)

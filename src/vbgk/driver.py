@@ -4,30 +4,31 @@ All CSV output uses 17-significant-digit floats so files round-trip losslessly
 and byte-identical reruns can be asserted.
 
 The Navier-Stokes reference of a run and the members of a sweep run in
-forked children through one channel, ``ForkedChannel``.  The child iterates
-a generator and sends each item over one pipe: a pickled header (the value
-and its arrays' shapes), then the arrays' raw float64 bytes, never pickled.
-The parent reads the header, then the bytes with ``readinto`` into one
-buffer it allocated once, and hands out views valid until the next item; a
-short read raises EOFError, so a partly sent item is never handed out.  An
-exception out of the generator is sent in place of an item and raised in
-the parent.  The child ends with ``os._exit`` (no stdio flush, no atexit
-handlers); ``close`` kills and reaps it, whatever it is doing.  The pipe is
-asked to hold ``PIPE_BYTES``, a whole record up to n = 209, so the child
-writes one without waiting; a full pipe blocks it, which bounds how far it
-runs ahead.
+forked children through one channel, ``ForkedChannel``, an iterator over the
+items of a generator that the child iterates.  The child sends each item
+over one pipe: a pickled header (the value and its arrays' shapes), then the
+arrays' raw float64 bytes, never pickled.  The parent reads the header, then
+the bytes with ``readinto`` into one buffer it allocated once, and hands out
+views valid until the next item; a short read raises EOFError, so a partly
+sent item is never handed out.  An exception out of the generator is sent in
+place of an item and raised in the parent.  The child ends with ``os._exit``
+(no stdio flush, no atexit handlers); ``close`` kills and reaps it, whatever
+it is doing.  The pipe is asked to hold ``PIPE_BYTES``, a whole record up to
+n = 209, so the child writes one without waiting; a full pipe blocks it,
+which bounds how far it runs ahead.
 
-A run on any data but Taylor-Green steps its Navier-Stokes reference in a
-child (``ForkedReference``), so the reference overlaps the kinetic steps and
-records instead of adding to them.  The reference does not depend on the
-kinetic state and the run's record times are known before it starts
-(``kinetic.step_times``), so the child walks those times through
-``ReferenceTrajectory.at``, the one reference code path, and sends record k
-as (t, u, p); the parent checks that t equals the requested time exactly.
-The fork comes just before ``kinetic.run``, after the run's other set-up: in
-a prototype that forked at the start of ``run_simulation``, the child's work
+The reference does not depend on the kinetic state and a run's record times
+are known before it starts (``kinetic.step_times``), so every reference
+record comes from one stream, ``_reference_records``: the generator of
+(t, (u, p)) at those times through ``ReferenceTrajectory.at``, the one
+reference code path.  ``vbgk reference`` iterates it to write its files.  A
+run reads record k with ``next`` and checks that t equals its own record
+time exactly.  On Taylor-Green data the run iterates the stream in-process;
+on any other data it wraps it in a ``ForkedChannel``, so the reference
+overlaps the kinetic steps and records instead of adding to them.  The fork
+comes just before ``kinetic.run``, after the run's other set-up: in a
+prototype that forked at the start of ``run_simulation``, the child's work
 competed with the parent's set-up, which took 8-24% longer on 2 vCPU.
-Taylor-Green runs and ``vbgk reference`` evaluate the reference in-process.
 
 A sweep spreads its members over k = min(members, usable CPUs) processes,
 since numpy work overlaps across processes and not across threads.  Every
@@ -117,8 +118,9 @@ def solver_config(cfg: RunConfig) -> kinetic.SolverConfig:
 def initial_velocity(cfg: RunConfig, grid: Grid) -> np.ndarray:
     """Initial velocity field (2, n, n) from the configured source.
 
-    Velocity read from a file is checked here to be divergence-free, so
-    validate, run, sweep and reference all reject the same data.
+    Velocity read from a file is checked here to be finite and
+    divergence-free, so validate, run, sweep and reference all reject the
+    same data.
     """
     if cfg.initial_data == "taylor_green":
         return navier_stokes.taylor_green_velocity(grid, 0.0, cfg.nu)[0]
@@ -129,6 +131,8 @@ def initial_velocity(cfg: RunConfig, grid: Grid) -> np.ndarray:
         raise ConfigError(
             f"initial data file has shape {fields.shape}, expected (2, {grid.n}, {grid.n})"
         )
+    if not np.all(np.isfinite(fields)):
+        raise ConfigError(f"initial data file {cfg.initial_data_path} has non-finite values")
     model.check_divergence_free(grid, fields)
     return fields
 
@@ -241,11 +245,11 @@ class ReferenceTrajectory:
 
 
 class ForkedChannel:
-    """The items (value, arrays) of a generator iterated in a forked child.
+    """Iterator over the items (value, arrays) of a generator run in a forked child.
 
-    ``receive`` returns them in order, the arrays as views valid until the
-    next call; ``close`` ends the child.  The protocol is in the module
-    docstring.
+    ``next`` returns the items in order, the arrays as views valid until the
+    next item; the end of the child, however it ends, raises EOFError.
+    ``close`` ends the child.  The protocol is in the module docstring.
     """
 
     def __init__(self, items):
@@ -267,9 +271,15 @@ class ForkedChannel:
             _serve(items, write_fd)
         os.close(write_fd)
         self._pipe = os.fdopen(read_fd, "rb")
+        # one buffer for every item: each record sent as one protocol-5 pickle
+        # instead cost 0.29 ms more per n = 128 record, and vortex_reference
+        # steps_per_s fell 90.1 -> 83.5, behind in 6 of 6 pairs
         self._buffer = np.empty(0)
 
-    def receive(self) -> tuple[object, list[np.ndarray]]:
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> tuple[object, list[np.ndarray]]:
         try:
             value, shapes = pickle.load(self._pipe)
         except (EOFError, pickle.UnpicklingError):
@@ -314,35 +324,8 @@ def _serve(items, write_fd: int):
         os._exit(0)
 
 
-class ForkedReference:
-    """reference.at at the increasing record times, stepped in a forked child.
-
-    ``at(t)`` must be asked for the times in order and returns views valid
-    until the next call; ``close`` ends the child.
-    """
-
-    def __init__(self, reference: ReferenceTrajectory, times: list[float]):
-        self._k = 0
-        self._child = ForkedChannel(_reference_records(reference, times))
-
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        k = self._k
-        try:
-            t_sent, (u, p) = self._child.receive()
-        except EOFError:
-            raise RuntimeError(f"reference process ended before record {k} at t = {t!r}") \
-                from None
-        if t_sent != t:
-            raise RuntimeError(f"reference record {k} is at t = {t_sent!r}, not t = {t!r}")
-        self._k += 1
-        return u, p
-
-    def close(self) -> None:
-        self._child.close()
-
-
 def _reference_records(reference: ReferenceTrajectory, times):
-    """(t, (u, p)) at each of times, for a ForkedChannel."""
+    """(t, (u, p)) of the reference at each of times: the one record stream."""
     for t in times:
         yield t, reference.at(t)
 
@@ -373,8 +356,9 @@ def run_simulation(cfg: RunConfig,
     blow-up the partial records collected so far are kept and the exception
     is stored on the output instead of propagating.  States at the first
     record time at or after each configured snapshot time are captured.
-    On any data but Taylor-Green the reference is stepped by a forked child
-    (ForkedReference), which is reaped before this returns or raises.
+    The reference records come from _reference_records, stepped by a forked
+    child (ForkedChannel) on any data but Taylor-Green; the child is reaped
+    before this returns or raises.
     """
     report = validated(cfg) if report is None else report
     params, grid, u0 = report.params, report.grid, report.u0
@@ -382,18 +366,24 @@ def run_simulation(cfg: RunConfig,
     # functions held a vortex_reference process's peak RSS about 0.75 MB higher
     phis = diag.pressure_test_functions(grid)
     state0 = model.initial_kinetic_state(grid, u0, params)
-    reference = ReferenceTrajectory(cfg, grid, u0)
-    forked = None
+    _, times = kinetic.step_times(report.solver, params, grid.dx)
+    refs = _reference_records(ReferenceTrajectory(cfg, grid, u0), times)
     if cfg.initial_data != "taylor_green":
-        _, times = kinetic.step_times(report.solver, params, grid.dx)
-        reference = forked = ForkedReference(reference, times)
+        refs = ForkedChannel(refs)
 
     records: list[diag.DiagnosticsRecord] = []
     captured: dict[float, model.KineticState] = {}
     pending = sorted(cfg.snapshot_times)
 
     def on_record(t, state, step):
-        u_ref, p_ref = reference.at(t)
+        k = len(records)
+        try:
+            t_ref, (u_ref, p_ref) = next(refs)
+        except EOFError:
+            raise RuntimeError(f"reference process ended before record {k} at t = {t!r}") \
+                from None
+        if t_ref != t:
+            raise RuntimeError(f"reference record {k} is at t = {t_ref!r}, not t = {t!r}")
         records.append(diag.compute_record(state, u_ref, p_ref, phis, cfg.s_prime, t))
         # snapshots keyed by the actual record time reached
         while pending and t >= pending[0] - 1e-12:
@@ -407,8 +397,7 @@ def run_simulation(cfg: RunConfig,
         # kept without its traceback, whose frames hold the run's arrays
         error = exc.with_traceback(None)
     finally:
-        if forked is not None:
-            forked.close()
+        refs.close()
     return SimulationOutput(
         records=records,
         error=error,
@@ -530,7 +519,7 @@ def _run_bins(members, bins) -> dict[float, SimulationOutput]:
         errors = [] if error is None else [error]
         for epsilons, child in zip(bins[1:], children):
             try:
-                (child_runs, error), _ = child.receive()
+                (child_runs, error), _ = next(child)
             except EOFError:
                 raise RuntimeError(
                     "sweep member process for eps = "
@@ -616,10 +605,9 @@ def reference_to_files(cfg: RunConfig, out_dir) -> list[float]:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = validate(cfg)
     _, times = kinetic.step_times(report.solver, report.params, report.grid.dx)
-    reference = ReferenceTrajectory(cfg, report.grid, report.u0)
+    records = _reference_records(ReferenceTrajectory(cfg, report.grid, report.u0), times)
     rows = ["t,energy"]
-    for i, t in enumerate(times):
-        u, p = reference.at(t)
+    for i, (t, (u, p)) in enumerate(records):
         snapshots.write_snapshot(out_dir / f"reference_{i:03d}.vbgk", np.stack([*u, p]), t)
         rows.append(f"{fmt(t)},{fmt(float(np.mean(u[0] ** 2 + u[1] ** 2)))}")
     (out_dir / "reference.csv").write_text("\n".join(rows) + "\n")

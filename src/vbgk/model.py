@@ -214,9 +214,9 @@ class KineticState:
 
 def check_divergence_free(grid: gridmod.Grid, u0: np.ndarray) -> None:
     """Raise NotDivergenceFree unless the initial velocity u0 (2, n, n) is
-    divergence-free to 1e-10."""
+    divergence-free to 1e-10; a NaN divergence fails too."""
     div_max = gridmod.linf_norm(gridmod.spectral_divergence(grid, u0[0], u0[1]))
-    if div_max > 1e-10:
+    if not div_max <= 1e-10:
         raise NotDivergenceFree(
             f"initial velocity has spectral divergence {div_max:.3e} > 1e-10"
         )

@@ -16,12 +16,9 @@ forms the velocity (2, n, n) with one stacked inverse transform.  Velocities
 pass between functions as plain (2, n, n) arrays; only NsState, the state
 that ns_step takes and returns, runs a divergence check.  The driver's
 ReferenceTrajectory keeps a VorticityFlow from one record to the next, so a
-record converts only vorticity to velocity and pressure.  On any data but
-Taylor-Green a run steps that trajectory in a forked child process
-(``driver.ForkedReference``), ahead of the kinetic run: the child sends each
-record's (t, u, p) over a pipe, the arrays as raw bytes, and the run reads
-them into one buffer.  The protocol is in the ``driver`` docstring; nothing
-in this module depends on which process runs it.
+record converts only vorticity to velocity and pressure.  How the driver
+hands the records to a run, in-process or from a forked child, is in the
+``driver`` docstring; nothing in this module depends on which process runs it.
 
 Each RK4 stage takes one stacked inverse transform of (u1, u2, dw/dx, dw/dy),
 written into buffers made once per kernel call, and one forward transform of
@@ -62,7 +59,7 @@ class NsState:
         self.grid.check_field(self.u1)
         self.grid.check_field(self.u2)
         div = linf_norm(spectral_divergence(self.grid, self.u1, self.u2))
-        if div > 1e-10:
+        if not div <= 1e-10:
             raise NotDivergenceFree(f"velocity divergence {div:.3e} > 1e-10")
 
     def energy(self) -> float:

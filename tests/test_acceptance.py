@@ -27,6 +27,7 @@ scripts/stability_scan.py).
   stay within ~15% of the exact-transport values wherever both complete.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -263,13 +264,15 @@ def test_criterion_10_determinism(tmp_path):
     )
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(run_cfg)
+    # the CLI subprocesses import the package from src/, as the tests do
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
         code = subprocess.run(
             [sys.executable, "-m", "vbgk.cli", "run", "--config", str(cfg_path),
              "--out", str(out)],
-            capture_output=True).returncode
+            env=env, capture_output=True).returncode
         assert code == 0
         outs.append((out / "records.csv").read_bytes())
     runs_identical = outs[0] == outs[1]
@@ -282,7 +285,7 @@ def test_criterion_10_determinism(tmp_path):
         code = subprocess.run(
             [sys.executable, "-m", "vbgk.cli", "sweep", "--config", str(cfg_path),
              "--epsilons", "0.2,0.1,0.05", "--out", str(out)],
-            capture_output=True).returncode
+            env=env, capture_output=True).returncode
         assert code == 0
         studies.append((out / "study.csv").read_bytes())
     sweeps_identical = studies[0] == studies[1]

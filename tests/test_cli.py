@@ -76,6 +76,8 @@ def test_validate_parse_error_has_line_number(tmp_path, capsys):
     "c_relax = nan",
     "c_transp = nan",
     "snapshot_times = nan",
+    "snapshot_times = 0.5",  # after t_end = 0.05
+    "snapshot_times = -1",
     "s = inf",
     "s_prime = inf",
 ])
@@ -198,6 +200,23 @@ def test_reference_rejects_divergent_file_data(tmp_path, capsys):
     assert errors["run"].startswith("constraint violation: initial velocity has spectral "
                                     "divergence ")
     assert set(errors.values()) == {errors["run"]}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_command_rejects_non_finite_file_data(tmp_path, capsys, bad):
+    # a NaN divergence passes no "> 1e-10" test, so without the finiteness
+    # check reference wrote NaN snapshots and exited 0
+    g = Grid(32)
+    u0, _ = taylor_green_velocity(g, 0.0, 0.01)
+    u0[1, 3, 5] = bad
+    path = tmp_path / "u0.vbgk"
+    write_snapshot(path, u0, 0.0)
+    cfg = write_cfg(tmp_path, BASE + f"initial_data = file:{path}\n")
+    for command in ("validate", "run", "sweep", "reference"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err == (f"config error: initial data file {path} has "
+                                           "non-finite values\n")
+        assert not list((tmp_path / command).rglob("*"))
 
 
 def test_file_initial_data_round_trip(tmp_path):

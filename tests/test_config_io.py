@@ -108,6 +108,15 @@ def test_parse_snapshot_times():
     assert cfg.snapshot_times == (0.0, 0.25, 0.5)
 
 
+@pytest.mark.parametrize("value, bad", [("0.25, 0.75", "0.75"), ("-1, 0.25", "-1.0")])
+def test_parse_rejects_snapshot_time_outside_the_run(value, bad):
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config_text(GOOD + f"snapshot_times = {value}\n")
+    assert exc_info.value.line == len(GOOD.splitlines()) + 1
+    assert str(exc_info.value) == (f"line {exc_info.value.line}: snapshot time {bad} lies "
+                                   "outside [0, t_end = 0.5]")
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(GOOD)

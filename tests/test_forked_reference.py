@@ -1,7 +1,7 @@
 """The Navier-Stokes reference of a file-data run, stepped in a forked child.
 
-A stand-in with ForkedReference's interface over the in-process
-ReferenceTrajectory gives the serial run each test compares with.
+Patching driver.ForkedChannel to hand back the record stream it is given
+gives the serial run each test compares with.
 """
 
 import dataclasses
@@ -31,14 +31,9 @@ record_every = 1
 """
 
 
-class SerialReference:
-    """ForkedReference's interface over the reference itself, with no child."""
-
-    def __init__(self, reference, times):
-        self.at = reference.at
-
-    def close(self):
-        pass
+def serial_reference(monkeypatch):
+    """Make runs iterate the reference records in-process, with no child."""
+    monkeypatch.setattr(driver, "ForkedChannel", lambda items: items)
 
 
 def file_config(tmp_path, n=32):
@@ -85,31 +80,42 @@ def test_forked_reference_equals_serial_at_every_record_time(tmp_path, n):
     assert len(times) == 12
     assert n == 32 or 3 * n * n * 8 > driver.PIPE_BYTES
     serial = driver.ReferenceTrajectory(cfg, report.grid, report.u0)
-    forked = driver.ForkedReference(driver.ReferenceTrajectory(cfg, report.grid, report.u0),
-                                    times)
+    forked = driver.ForkedChannel(driver._reference_records(
+        driver.ReferenceTrajectory(cfg, report.grid, report.u0), times))
     try:
         for t in times:
-            u_ref, p_ref = forked.at(t)
+            t_ref, (u_ref, p_ref) = next(forked)
             u, p = serial.at(t)
+            assert t_ref == t
             assert np.array_equal(u_ref, u)
             assert np.array_equal(p_ref, p)
+        with pytest.raises(EOFError):  # the child sent every record and exited
+            next(forked)
     finally:
         forked.close()
     assert_no_child_process()
 
 
-def test_forked_reference_rejects_a_time_it_was_not_given(tmp_path):
+@pytest.mark.parametrize("source", ["taylor_green", "file"])
+def test_run_rejects_a_reference_record_at_another_time(tmp_path, monkeypatch, source):
+    # the in-process and the forked record stream meet the same check
     _, cfg = file_config(tmp_path)
+    if source == "taylor_green":
+        cfg = dataclasses.replace(cfg, initial_data="taylor_green")
+    reference_records = driver._reference_records
+
+    def skip_record_1(reference, times):
+        return reference_records(reference, times[:1] + times[2:])
+
+    monkeypatch.setattr(driver, "_reference_records", skip_record_1)
+    records = count_records(monkeypatch)
     report = driver.validate(cfg)
     _, times = kinetic.step_times(report.solver, report.params, report.grid.dx)
-    forked = driver.ForkedReference(driver.ReferenceTrajectory(cfg, report.grid, report.u0),
-                                    times)
-    try:
-        forked.at(0.0)
-        with pytest.raises(RuntimeError, match=f"record 1 is at t = {times[1]!r}, not t = "):
-            forked.at(times[2])
-    finally:
-        forked.close()
+    message = f"reference record 1 is at t = {times[2]!r}, not t = {times[1]!r}"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        driver.run_simulation(cfg, report)
+    assert records == times[:1]
+    assert_no_child_process()
 
 
 def test_record_cut_short_is_not_handed_out(tmp_path, monkeypatch):
@@ -143,7 +149,7 @@ def test_record_cut_short_is_not_handed_out(tmp_path, monkeypatch):
 def test_file_data_records_byte_identical_to_serial_reference(tmp_path, monkeypatch):
     cfg_path, _ = file_config(tmp_path)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "forked")]) == 0
-    monkeypatch.setattr(driver, "ForkedReference", SerialReference)
+    serial_reference(monkeypatch)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "serial")]) == 0
     forked = (tmp_path / "forked" / "records.csv").read_bytes()
     assert forked == (tmp_path / "serial" / "records.csv").read_bytes()
@@ -183,7 +189,7 @@ def test_reference_cfl_violation_surfaces_at_the_serial_record(tmp_path, monkeyp
     outcomes = []
     for forked in (True, False):
         if not forked:
-            monkeypatch.setattr(driver, "ForkedReference", SerialReference)
+            serial_reference(monkeypatch)
         raise_cfl_at_call(monkeypatch, k)  # inherited by the child at the fork
         records = count_records(monkeypatch)
         code = main(["run", "--config", cfg_path, "--out", str(tmp_path / str(forked))])
@@ -212,7 +218,7 @@ def test_kinetic_blowup_on_file_data_leaves_no_child(tmp_path, monkeypatch):
     errors = []
     for forked in (True, False):
         if not forked:
-            monkeypatch.setattr(driver, "ForkedReference", SerialReference)
+            serial_reference(monkeypatch)
         nan_after_transport(monkeypatch, 4)
         output = driver.run_simulation(cfg)
         assert_no_child_process()

@@ -251,6 +251,14 @@ def test_initial_state_rejects_gradient_field(grid32, params_default):
         initial_kinetic_state(grid32, u0, params_default)
 
 
+def test_initial_state_rejects_nan_velocity(grid32, params_default):
+    # a NaN divergence is not <= 1e-10, so it fails the check
+    u0 = np.zeros((2, 32, 32))
+    u0[0, 4, 7] = np.nan
+    with pytest.raises(NotDivergenceFree, match="divergence nan > 1e-10"):
+        initial_kinetic_state(grid32, u0, params_default)
+
+
 # ---------------------------------------------------------------------------
 # entropy (the quadratic relative entropy of the limiting system)
 # ---------------------------------------------------------------------------

@@ -74,6 +74,13 @@ def test_ns_state_rejects_divergent_field(grid32):
         NsState(grid32, np.sin(grid32.x), np.zeros((32, 32)), 0.0, 0.01)
 
 
+def test_ns_state_rejects_nan_velocity(grid32):
+    u1 = np.zeros((32, 32))
+    u1[2, 9] = np.nan
+    with pytest.raises(NotDivergenceFree, match="divergence nan > 1e-10"):
+        NsState(grid32, u1, np.zeros((32, 32)), 0.0, 0.01)
+
+
 def test_ns_step_zero_velocity(grid32):
     z = np.zeros((32, 32))
     out = ns_step(NsState(grid32, z, z.copy(), 0.0, 0.01), 1e-2)
