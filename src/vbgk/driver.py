@@ -36,11 +36,16 @@ member is validated first.  The members are then split into k bins by
 longest processing time first (``step_bins``), a member's cost being its
 step count t_end / dt; every member has the same n.  The parent forks one
 child per bin after the first and then runs bin 0, the largest, itself, so
-its own run starts as soon as a serial sweep's.  A child sends one item,
-({eps: SimulationOutput}, None or (eps, error)) of its members run in order
-up to the first that raises.  A child that ends without it is named in a
-RuntimeError.  An error out of a member is raised once every child is done:
-the first failing member's in member order, as in a serial sweep.
+its own run starts as soon as a serial sweep's.  Each bin is one stream,
+``_member_outputs``, of one item per member, in member order: bin 0's runs
+here, every other bin's in a ``ForkedChannel``, and the parent reads each
+with one ``next`` per member.  A member's error is the exception ``next``
+raises, on the channel's own path; it ends its bin and is raised once every
+bin is done, the first failing member's in member order, as in a serial
+sweep.  A child that ends early is named in a RuntimeError with the members
+it did not send.  A child sends each output as its member ends: the
+sweep_upwind members pickle to 2.3-14.4 KB, about 170 B per record, so
+unread outputs fill ``PIPE_BYTES`` and block it only after ~6000 records.
 
 The LAPACK calls, ``eigvals`` in validate and ``polyfit`` in the rate fits,
 stay in the parent before the fork and after the join; children run
@@ -113,6 +118,16 @@ def solver_config(cfg: RunConfig) -> kinetic.SolverConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def make_output_dir(path) -> Path:
+    """path, made with its parents if missing; an OSError becomes a ConfigError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from None
+    return path
 
 
 def initial_velocity(cfg: RunConfig, grid: Grid) -> np.ndarray:
@@ -414,8 +429,7 @@ def write_records_csv(records, path) -> None:
 
 def run_to_files(cfg: RunConfig, out_dir) -> SimulationOutput:
     """cmd_run body: records.csv plus optional snapshots at requested times."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_output_dir(out_dir)
     output = run_simulation(cfg)
     write_records_csv(output.records, out_dir / "records.csv")
     for i, (t, state) in enumerate(sorted(output.snapshots.items())):
@@ -448,8 +462,12 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
     epsilons = sorted({float(e) for e in epsilons}, reverse=True)
     if len(epsilons) < 3:
         raise ConfigError(f"sweep needs >= 3 epsilons, got {len(epsilons)}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # epsilons that round to one eps_{eps:g} are neighbours in sorted order
+    for big, small in zip(epsilons, epsilons[1:]):
+        if f"{big:g}" == f"{small:g}":
+            raise ConfigError(f"epsilons {big!r} and {small!r} would both write"
+                              f" {Path(out_dir) / f'eps_{small:g}'}")
+    out_dir = make_output_dir(out_dir)
 
     # the sweep writes no snapshots, so its members capture none
     configs = {eps: dataclasses.replace(cfg, epsilon=eps, snapshot_times=())
@@ -458,14 +476,12 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
     members = {eps: (sub, validated(sub)) for eps, sub in configs.items()}
     costs = {eps: cfg.t_end / report.solver.base_dt(report.params, report.grid.dx)
              for eps, (_, report) in members.items()}
+    sub_dirs = {eps: make_output_dir(out_dir / f"eps_{eps:g}") for eps in epsilons}
     bins = step_bins(costs, min(len(epsilons), len(os.sched_getaffinity(0))))
-    collected = _run_bins(members, bins)
-    runs = {eps: collected[eps] for eps in epsilons}
+    runs = _run_bins(members, bins)
     failures: dict[float, str] = {}
     for eps in epsilons:
-        sub_dir = out_dir / f"eps_{eps:g}"
-        sub_dir.mkdir(parents=True, exist_ok=True)
-        write_records_csv(runs[eps].records, sub_dir / "records.csv")
+        write_records_csv(runs[eps].records, sub_dirs[eps] / "records.csv")
         if not runs[eps].completed:
             failures[eps] = str(runs[eps].error)
 
@@ -502,59 +518,43 @@ def step_bins(costs: dict[float, float], k: int) -> list[list[float]]:
 
 
 def _run_bins(members, bins) -> dict[float, SimulationOutput]:
-    """{eps: output} of every member: bin 0 here, every other bin in a child.
+    """{eps: output} of every member in member order: bin 0 here, every
+    other bin in a child.
 
     members maps eps to (config, report) and is emptied as the members are
-    handed out, so no report outlives its member's run here or its fork.  An
-    error out of a member is raised once every child is done; when several
-    members raise, it is the first member's in member order, as in a serial
-    sweep.
+    handed out, so no report outlives its member's run here or its fork.
     """
-    children = []
+    runs, errors = dict.fromkeys(members), []
+    streams = [_member_outputs({eps: members.pop(eps) for eps in bins[0]})]
     try:
         for epsilons in bins[1:]:
-            children.append(ForkedChannel(
-                _member_results({eps: members.pop(eps) for eps in epsilons})))
-        runs, error = _run_members({eps: members.pop(eps) for eps in bins[0]})
-        errors = [] if error is None else [error]
-        for epsilons, child in zip(bins[1:], children):
-            try:
-                (child_runs, error), _ = next(child)
-            except EOFError:
-                raise RuntimeError(
-                    "sweep member process for eps = "
-                    f"{', '.join(f'{e:g}' for e in epsilons)} ended without its results") \
-                    from None
-            runs.update(child_runs)
-            if error is not None:
-                errors.append(error)
+            streams.append(ForkedChannel(
+                _member_outputs({eps: members.pop(eps) for eps in epsilons})))
+        for epsilons, stream in zip(bins, streams):
+            for i, eps in enumerate(epsilons):
+                try:
+                    runs[eps], _ = next(stream)
+                except EOFError:
+                    unsent = ", ".join(f"{e:g}" for e in epsilons[i:])
+                    raise RuntimeError(f"sweep member process for eps = {unsent} ended"
+                                       " without its results") from None
+                except Exception as exc:
+                    errors.append((eps, exc))
+                    break
     finally:
-        for child in children:
-            child.close()
+        for stream in streams:
+            stream.close()
+    # when several members raise, the first in member order, as in a serial sweep
     if errors:
         raise max(errors, key=lambda e: e[0])[1]
     return runs
 
 
-def _run_members(members) -> tuple[dict[float, SimulationOutput], tuple | None]:
-    """run_simulation on each (config, report) of members, in order.
-
-    Returns the outputs and, if a member raised, (eps, error) of that
-    member, the last one run.  Each report is dropped once its member has
-    run.
-    """
-    runs: dict[float, SimulationOutput] = {}
+def _member_outputs(members):
+    """(run_simulation output, no arrays) of each (config, report) of
+    members, in order; each report is dropped as its member starts."""
     for eps in list(members):
-        try:
-            runs[eps] = run_simulation(*members.pop(eps))
-        except Exception as exc:
-            return runs, (eps, exc)
-    return runs, None
-
-
-def _member_results(members):
-    """The one item of a member process: _run_members(members), no arrays."""
-    yield _run_members(members), ()
+        yield run_simulation(*members.pop(eps)), ()
 
 
 def rates_report(cfg: RunConfig, fits, runs, ok_epsilons, failures) -> str:
@@ -601,8 +601,7 @@ def rates_report(cfg: RunConfig, fits, runs, ok_epsilons, failures) -> str:
 
 def reference_to_files(cfg: RunConfig, out_dir) -> list[float]:
     """cmd_reference body: reference snapshots + energy series at record times."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_output_dir(out_dir)
     report = validate(cfg)
     _, times = kinetic.step_times(report.solver, report.params, report.grid.dx)
     records = _reference_records(ReferenceTrajectory(cfg, report.grid, report.u0), times)

@@ -182,8 +182,8 @@ def perturbed_maxwellians(grid: gridmod.Grid, w: np.ndarray,
     w = grid.check_field(np.asarray(w, dtype=float))
     m = maxwellians(w, params)
     coeff = params.a * params.epsilon * params.lam * params.tau
-    dwx = np.stack([gridmod.spectral_derivative(grid, w[c], "x") for c in range(3)])
-    dwy = np.stack([gridmod.spectral_derivative(grid, w[c], "y") for c in range(3)])
+    dwx = gridmod.spectral_derivative(grid, w, "x")
+    dwy = gridmod.spectral_derivative(grid, w, "y")
     m[0] -= coeff * dwx
     m[1] -= coeff * dwy
     m[2] += coeff * dwx

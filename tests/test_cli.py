@@ -370,6 +370,46 @@ def test_sweep_rejects_too_few_epsilons(tmp_path, capsys):
     ]
 
 
+def test_sweep_rejects_epsilons_that_name_one_directory(tmp_path, capsys, monkeypatch):
+    # eps_{eps:g} is eps_0.1 for both 0.1 and 0.1000001, so one member's
+    # records.csv would overwrite the other's
+    validations = count_calls(monkeypatch, driver, "validated")
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--epsilons", "0.1,0.1000001,0.05",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: epsilons 0.1000001 and 0.1 would both write {out / 'eps_0.1'}\n")
+    assert validations == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "reference"])
+@pytest.mark.parametrize("out, reason", [("taken", "File exists"),
+                                         ("taken/sub", "Not a directory")])
+def test_output_directory_that_cannot_be_made_exits_1(tmp_path, capsys, command, out,
+                                                      reason):
+    (tmp_path / "taken").write_text("")
+    cfg = write_cfg(tmp_path, BASE)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cannot make output directory {tmp_path / out}: {reason}\n")
+
+
+def test_sweep_member_directory_that_cannot_be_made_exits_1(tmp_path, capsys, monkeypatch):
+    # the member directories are made before any member runs
+    runs = count_calls(monkeypatch, driver, "run_simulation")
+    out = tmp_path / "sw"
+    out.mkdir()
+    (out / "eps_0.1").write_text("")
+    cfg = write_cfg(tmp_path, BASE.replace("t_end = 0.05", "t_end = 0.01")
+                    + "transport_mode = upwind\n")
+    assert main(["sweep", "--config", cfg, "--epsilons", "0.2,0.1,0.05",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cannot make output directory {out / 'eps_0.1'}: File exists\n")
+    assert runs == []
+
+
 def test_sweep_on_zero_data_exits_0_and_names_unfitted_functionals(tmp_path):
     # at rest every functional is exactly 0, which no log-log fit takes; the
     # sweep completes and names each functional it left out

@@ -130,22 +130,25 @@ def test_member_error_raised_as_in_a_serial_sweep(tmp_path, monkeypatch, failing
 
 
 def test_member_process_that_sends_nothing_is_named(tmp_path, monkeypatch):
-    # with three processes eps = 0.1 and 0.2 run in one child each; the one
-    # that sends nothing is named and the other is reaped all the same
+    # eps = 0.1 ends its process: with three processes it runs alone in one
+    # child, which sends nothing; with two it runs after 0.2 in one child,
+    # which sends 0.2 first.  Either way only 0.1 is named, and every other
+    # child is reaped all the same
+    run_simulation = driver.run_simulation
     parent = os.getpid()
-    run_members = driver._run_members
 
-    def dies_in_child(members):
-        if os.getpid() != parent and 0.1 in members:
+    def dies_in_child(cfg, report):
+        if os.getpid() != parent and cfg.epsilon == 0.1:
             os._exit(1)
-        return run_members(members)
+        return run_simulation(cfg, report)
 
-    monkeypatch.setattr(driver, "_run_members", dies_in_child)
-    use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(driver, "run_simulation", dies_in_child)
     cfg = parse_config_text(upwind_sweep(tmp_path))
-    with pytest.raises(RuntimeError, match=r"^sweep member process for eps = 0\.1 "
-                                           r"ended without its results$"):
-        driver.run_sweep(cfg, [0.2, 0.1, 0.05], tmp_path / "sw")
+    for cpus in (3, 2):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(RuntimeError, match=r"^sweep member process for eps = 0\.1 "
+                                               r"ended without its results$"):
+            driver.run_sweep(cfg, [0.2, 0.1, 0.05], tmp_path / f"sw{cpus}")
 
 
 class Interrupted(BaseException):
