@@ -6,7 +6,8 @@
     vbgk reference --config PATH [--out DIR]
 
 Exit codes: 0 ok, 1 bad config (parse error, invalid value, unreadable
-initial-data file), 2 constraint violation, 3 blow-up.
+initial-data file) or an output that cannot be written, 2 constraint
+violation, 3 blow-up.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ _CONSTRAINT_ERRORS = (ConstraintViolation, NonPositiveInput, NotDivergenceFree,
                       NonPositiveDensity)
 
 
-def _out_dir(args, cfg) -> Path:
-    return Path(args.out) if args.out else Path(cfg.output_dir)
-
-
 def cmd_validate(args) -> int:
     cfg = parse_config(args.config)
     report = driver.validate(cfg)
@@ -54,9 +51,8 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
-    out_dir = _out_dir(args, cfg)
-    output = driver.run_to_files(cfg, out_dir)
-    print(f"wrote {out_dir / 'records.csv'} ({len(output.records)} records)")
+    output = driver.run_to_files(cfg, args.out)
+    print(f"wrote {args.out / 'records.csv'} ({len(output.records)} records)")
     if output.error is not None:
         print(f"run aborted: {output.error}")
         return EXIT_BLOWUP
@@ -74,11 +70,10 @@ def _parse_epsilons(raw: str) -> list[float]:
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     epsilons = _parse_epsilons(args.epsilons)
-    out_dir = _out_dir(args, cfg)
-    sweep = driver.run_sweep(cfg, epsilons, out_dir)
+    sweep = driver.run_sweep(cfg, epsilons, args.out)
     for name, fit in sweep.fits.items():
         print(f"{name}: slope {fit.slope:.4f} residual {fit.residual:.3e}")
-    print(f"wrote {out_dir / 'study.csv'} and {out_dir / 'rates.txt'}")
+    print(f"wrote {args.out / 'study.csv'} and {args.out / 'rates.txt'}")
     if sweep.failures:
         for eps, msg in sweep.failures.items():
             print(f"member run eps={eps:g} failed: {msg}")
@@ -88,9 +83,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_reference(args) -> int:
     cfg = parse_config(args.config)
-    out_dir = _out_dir(args, cfg)
-    times = driver.reference_to_files(cfg, out_dir)
-    print(f"wrote {len(times)} reference snapshots to {out_dir}")
+    times = driver.reference_to_files(cfg, args.out)
+    print(f"wrote {len(times)} reference snapshots to {args.out}")
     return EXIT_OK
 
 
@@ -105,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                      ("sweep", cmd_sweep), ("reference", cmd_reference)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", type=Path, default=".")
         if name == "sweep":
             p.add_argument("--epsilons", default="0.2,0.1,0.05,0.025")
         p.set_defaults(fn=fn)

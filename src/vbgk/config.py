@@ -32,7 +32,6 @@ class RunConfig:
     initial_data_path: str | None = None
     s: float = 3.5
     s_prime: float = 2.0
-    output_dir: str = "."
     snapshot_times: tuple[float, ...] = field(default_factory=tuple)
 
     def with_epsilon(self, epsilon: float) -> "RunConfig":
@@ -92,8 +91,6 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
                     lineno)
             if values[key] == "file" and not values.get("initial_data_path"):
                 raise ConfigError("initial_data file path is empty", lineno)
-        elif key == "output_dir":
-            values[key] = value
         elif key == "snapshot_times":
             try:
                 times = tuple(float(v) for v in value.split(",") if v.strip())

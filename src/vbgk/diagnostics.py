@@ -174,8 +174,6 @@ def compute_record(state: KineticState, u_ref: np.ndarray, p_ref: np.ndarray,
 class ConvergenceStudyResult:
     """Least-squares power-law fit through (log eps, log error)."""
 
-    epsilons: tuple[float, ...]
-    errors: tuple[float, ...]
     slope: float
     intercept: float
     residual: float
@@ -193,16 +191,9 @@ def fit_rate(epsilons, errors) -> ConvergenceStudyResult:
         raise NonPositiveError("epsilons must be positive")
     if np.any(err <= 0):
         raise NonPositiveError("errors must be positive for a log-log fit")
-    order = np.argsort(-eps)
-    eps, err = eps[order], err[order]
     log_e, log_err = np.log(eps), np.log(err)
     slope, intercept = np.polyfit(log_e, log_err, 1)
     residual = float(np.max(np.abs(log_err - (slope * log_e + intercept))))
-    return ConvergenceStudyResult(
-        epsilons=tuple(eps),
-        errors=tuple(err),
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=residual,
-    )
+    return ConvergenceStudyResult(slope=float(slope), intercept=float(intercept),
+                                  residual=residual)
 

@@ -47,15 +47,14 @@ it did not send.  A child sends each output as its member ends: the
 sweep_upwind members pickle to 2.3-14.4 KB, about 170 B per record, so
 unread outputs fill ``PIPE_BYTES`` and block it only after ~6000 records.
 
-The LAPACK calls, ``eigvals`` in validate and ``polyfit`` in the rate fits,
-stay in the parent before the fork and after the join; children run
-transforms and elementwise numpy code only, none of which uses the BLAS
-threads that numpy may have started in the parent and that the fork does not
-copy.  The parent writes every file in member order, so the files do not
-depend on k; with k = 1 no member forks.  Sweep members capture no
-snapshots, which a sweep never writes.  A file-data member forks its own
-reference as well: in a 4-member n = 64 sweep on 2 vCPU, that was faster
-than an in-process reference inside a member process in 11 of 12
+The one LAPACK call, ``polyfit`` in the rate fits, stays in the parent after
+the join; children run transforms and elementwise numpy code only, none of
+which uses the BLAS threads that numpy may have started in the parent and
+that the fork does not copy.  The parent writes every file in member order,
+so the files do not depend on k; with k = 1 no member forks.  Sweep members
+capture no snapshots, which a sweep never writes.  A file-data member forks
+its own reference as well: in a 4-member n = 64 sweep on 2 vCPU, that was
+faster than an in-process reference inside a member process in 11 of 12
 alternating pairs.
 """
 
@@ -120,7 +119,7 @@ def solver_config(cfg: RunConfig) -> kinetic.SolverConfig:
         raise ConfigError(str(exc)) from None
 
 
-def make_output_dir(path) -> Path:
+def make_dir(path) -> Path:
     """path, made with its parents if missing; an OSError becomes a ConfigError."""
     path = Path(path)
     try:
@@ -128,6 +127,14 @@ def make_output_dir(path) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from None
     return path
+
+
+def write_text(path, text: str) -> None:
+    """Write text to the file path; an OSError becomes a ConfigError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def initial_velocity(cfg: RunConfig, grid: Grid) -> np.ndarray:
@@ -198,17 +205,20 @@ class ValidationReport:
 def validate(cfg: RunConfig) -> ValidationReport:
     """Parameter constraints plus the sub-characteristic box check.
 
-    A step that is not positive, as when tau*eps^2 or c_relax * tau*eps^2
-    underflows to 0, raises ConstraintViolation: no run could end.
+    A step below the float spacing at t_end, as when tau*eps^2 or
+    c_relax * tau*eps^2 underflows, raises ConstraintViolation: t + dt would
+    not move past some t < t_end, so no run could end.
     """
     params = build_params(cfg)
     grid = build_grid(cfg)
     solver = solver_config(cfg)
     dt_relax, dt_transp = solver.dt_bounds(params, grid.dx)
-    if not min(dt_relax, dt_transp) > 0:
+    dt = min(dt_relax, dt_transp)
+    if not dt >= math.ulp(cfg.t_end):
         raise ConstraintViolation(
             f"time step dt = min(relaxation bound {dt_relax:.6g}, transport bound"
-            f" {dt_transp:.6g}) is not positive")
+            f" {dt_transp:.6g}) = {dt:.6g} is below the float spacing"
+            f" {math.ulp(cfg.t_end):.6g} at t_end = {cfg.t_end:.6g}")
     u0 = initial_velocity(cfg, grid)
     u_max = float(np.max(np.sqrt(u0[0] ** 2 + u0[1] ** 2)))
     return ValidationReport(
@@ -370,7 +380,8 @@ def run_simulation(cfg: RunConfig,
     report is `validated(cfg)` when the caller has already made it.  On
     blow-up the partial records collected so far are kept and the exception
     is stored on the output instead of propagating.  States at the first
-    record time at or after each configured snapshot time are captured.
+    record time at or after each configured snapshot time are captured, and
+    the last record takes every snapshot time not yet reached.
     The reference records come from _reference_records, stepped by a forked
     child (ForkedChannel) on any data but Taylor-Green; the child is reaped
     before this returns or raises.
@@ -400,8 +411,9 @@ def run_simulation(cfg: RunConfig,
         if t_ref != t:
             raise RuntimeError(f"reference record {k} is at t = {t_ref!r}, not t = {t!r}")
         records.append(diag.compute_record(state, u_ref, p_ref, phis, cfg.s_prime, t))
-        # snapshots keyed by the actual record time reached
-        while pending and t >= pending[0] - 1e-12:
+        # snapshots keyed by the actual record time reached; the run ends within
+        # 1e-12 * max(1, t_end) of t_end, so the last record takes every time left
+        while pending and (t >= pending[0] - 1e-12 or len(records) == len(times)):
             pending.pop(0)
             captured[t] = state
 
@@ -424,12 +436,12 @@ def write_records_csv(records, path) -> None:
     lines = [",".join(diag.RECORD_COLUMNS)]
     for r in records:
         lines.append(",".join(fmt(getattr(r, name)) for name in diag.RECORD_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def run_to_files(cfg: RunConfig, out_dir) -> SimulationOutput:
     """cmd_run body: records.csv plus optional snapshots at requested times."""
-    out_dir = make_output_dir(out_dir)
+    out_dir = make_dir(out_dir)
     output = run_simulation(cfg)
     write_records_csv(output.records, out_dir / "records.csv")
     for i, (t, state) in enumerate(sorted(output.snapshots.items())):
@@ -467,7 +479,7 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
         if f"{big:g}" == f"{small:g}":
             raise ConfigError(f"epsilons {big!r} and {small!r} would both write"
                               f" {Path(out_dir) / f'eps_{small:g}'}")
-    out_dir = make_output_dir(out_dir)
+    out_dir = make_dir(out_dir)
 
     # the sweep writes no snapshots, so its members capture none
     configs = {eps: dataclasses.replace(cfg, epsilon=eps, snapshot_times=())
@@ -476,7 +488,7 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
     members = {eps: (sub, validated(sub)) for eps, sub in configs.items()}
     costs = {eps: cfg.t_end / report.solver.base_dt(report.params, report.grid.dx)
              for eps, (_, report) in members.items()}
-    sub_dirs = {eps: make_output_dir(out_dir / f"eps_{eps:g}") for eps in epsilons}
+    sub_dirs = {eps: make_dir(out_dir / f"eps_{eps:g}") for eps in epsilons}
     bins = step_bins(costs, min(len(epsilons), len(os.sched_getaffinity(0))))
     runs = _run_bins(members, bins)
     failures: dict[float, str] = {}
@@ -487,7 +499,7 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
 
     ok = [eps for eps in epsilons if eps not in failures]
     rows = [STUDY_HEADER] + [_study_row(eps, runs[eps]) for eps in ok]
-    (out_dir / "study.csv").write_text("\n".join(rows) + "\n")
+    write_text(out_dir / "study.csv", "\n".join(rows) + "\n")
 
     # a log-log fit needs every supremum above 0; on zero data some are 0
     fits: dict[str, diag.ConvergenceStudyResult] = {}
@@ -496,7 +508,7 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
             sups = [runs[e].sup(name) for e in ok]
             if all(sup > 0.0 for sup in sups):
                 fits[name] = diag.fit_rate(ok, sups)
-    (out_dir / "rates.txt").write_text(rates_report(cfg, fits, runs, ok, failures))
+    write_text(out_dir / "rates.txt", rates_report(cfg, fits, runs, ok, failures))
     return SweepOutput(epsilons=epsilons, runs=runs, fits=fits, failures=failures)
 
 
@@ -601,7 +613,7 @@ def rates_report(cfg: RunConfig, fits, runs, ok_epsilons, failures) -> str:
 
 def reference_to_files(cfg: RunConfig, out_dir) -> list[float]:
     """cmd_reference body: reference snapshots + energy series at record times."""
-    out_dir = make_output_dir(out_dir)
+    out_dir = make_dir(out_dir)
     report = validate(cfg)
     _, times = kinetic.step_times(report.solver, report.params, report.grid.dx)
     records = _reference_records(ReferenceTrajectory(cfg, report.grid, report.u0), times)
@@ -609,5 +621,5 @@ def reference_to_files(cfg: RunConfig, out_dir) -> list[float]:
     for i, (t, (u, p)) in enumerate(records):
         snapshots.write_snapshot(out_dir / f"reference_{i:03d}.vbgk", np.stack([*u, p]), t)
         rows.append(f"{fmt(t)},{fmt(float(np.mean(u[0] ** 2 + u[1] ** 2)))}")
-    (out_dir / "reference.csv").write_text("\n".join(rows) + "\n")
+    write_text(out_dir / "reference.csv", "\n".join(rows) + "\n")
     return times

@@ -54,6 +54,7 @@ c * tau*eps^2 unless the transport bound of ``SolverConfig`` is smaller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,10 +218,12 @@ def _time_grid(cfg: SolverConfig, dt_base: float):
     """(step, t, dt, is_record) after each step: the one time loop of the module.
 
     The last step is shortened to land on cfg.t_end and is always recorded.
-    A dt_base that is not positive raises ValueError: the loop would not end.
+    A dt_base below the float spacing at t_end raises ValueError: t + dt_base
+    would not move past some t < t_end, so the loop would not end.
     """
-    if not dt_base > 0:
-        raise ValueError(f"time step must be positive, got {dt_base!r}")
+    if not dt_base >= math.ulp(cfg.t_end):
+        raise ValueError(f"time step {dt_base!r} is below the float spacing"
+                         f" {math.ulp(cfg.t_end)!r} at t_end = {cfg.t_end!r}")
     t = 0.0
     step = 0
     t_eps = 1e-12 * max(1.0, cfg.t_end)
@@ -232,6 +235,20 @@ def _time_grid(cfg: SolverConfig, dt_base: float):
         yield step, t, dt, final or step % cfg.record_every == 0
 
 
+def _check_health(w: np.ndarray, t_last_good: float) -> None:
+    """Raise BlowupDetected unless the moments w are finite with positive density.
+
+    Every entry of f is summed into one entry of w, NaN and inf propagate
+    through the sum (inf - inf is NaN) and through the extrema, so two
+    reductions over w find a non-finite entry anywhere in f.
+    """
+    if not (np.isfinite(np.max(w)) and np.isfinite(np.min(w))):
+        raise BlowupDetected("non-finite values in kinetic state", t_last_good)
+    fault = density_fault(w[0])
+    if fault is not None:
+        raise BlowupDetected(fault, t_last_good)
+
+
 def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
     """Advance to cfg.t_end and return the final state.
 
@@ -241,17 +258,16 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
     state nor any state handed to on_record is modified afterwards.
 
     The result equals a loop of strang_step up to round-off; the merged
-    half-relaxations are described in the module docstring.  The initial
-    density is checked once before the loop and the state after each
-    transport; relaxation conserves w, so it needs no check of its own.
+    half-relaxations are described in the module docstring.  The input is
+    checked before its record and the state after each transport, so no
+    record and no kernel reads a faulty state; relaxation conserves w, so it
+    needs no check of its own.
     """
-    if on_record is not None:
-        on_record(0.0, state, 0)
     ws = _Workspace(state)
     ws.w = ws.f.sum(axis=0)
-    fault = density_fault(ws.w[0])
-    if fault is not None:
-        raise BlowupDetected(fault, 0.0)
+    _check_health(ws.w, 0.0)
+    if on_record is not None:
+        on_record(0.0, state, 0)
     t_prev = 0.0
     step = 0
     owed = 0.0  # closing half-relaxation deferred from the previous step
@@ -259,14 +275,7 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
         _relax(ws, owed + 0.5 * dt)
         _transport(ws, dt, cfg.transport_mode)
         np.sum(ws.f, axis=0, out=ws.w)
-        # every entry of f is summed into one entry of w, NaN and inf propagate
-        # through the sum (inf - inf is NaN) and through the extrema, so two
-        # reductions over w find a non-finite entry anywhere in f
-        if not (np.isfinite(np.max(ws.w)) and np.isfinite(np.min(ws.w))):
-            raise BlowupDetected("non-finite values in kinetic state", t_prev)
-        fault = density_fault(ws.w[0])
-        if fault is not None:
-            raise BlowupDetected(fault, t_prev)
+        _check_health(ws.w, t_prev)
         owed = 0.5 * dt
         if is_record:
             _relax(ws, owed)

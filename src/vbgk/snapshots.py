@@ -26,15 +26,19 @@ _HEADER = struct.Struct("<5sHIBd")
 
 
 def write_snapshot(path, fields: np.ndarray, time: float) -> None:
-    """Write a (ncomp, n, n) float array with its time stamp."""
+    """Write a (ncomp, n, n) float array with its time stamp; an OSError
+    becomes a ConfigError."""
     fields = np.ascontiguousarray(np.asarray(fields, dtype="<f8"))
     if fields.ndim != 3 or fields.shape[1] != fields.shape[2]:
         raise ValueError(f"snapshot fields must be (ncomp, n, n), got {fields.shape}")
     ncomp, n, _ = fields.shape
     header = _HEADER.pack(MAGIC, VERSION, n, ncomp, float(time))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(fields.tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(fields.tobytes())
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def read_snapshot(path) -> tuple[np.ndarray, float]:

@@ -53,13 +53,14 @@ def verdict(num, name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def sweep_result():
+def sweep_result(tmp_path_factory):
     cfg = RunConfig(
         epsilon=0.2, tau=1.0, lam=2.0, nu=0.01, rho_bar=1.0,
         n=64, t_end=0.5, record_every=10, transport_mode="upwind",
     )
     t0 = time.time()
-    sweep = driver.run_sweep(cfg, [0.2, 0.1, 0.05, 0.025], "/tmp/vbgk_acceptance_sweep")
+    sweep = driver.run_sweep(cfg, [0.2, 0.1, 0.05, 0.025],
+                             tmp_path_factory.mktemp("acceptance_sweep"))
     return sweep, time.time() - t0, cfg
 
 

@@ -93,7 +93,8 @@ def test_run_bad_config_value_exits_1(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("line", ["dt = 1e-3", "c_transp = 0.5"])
+# the output directory, too, has one setting: --out
+@pytest.mark.parametrize("line", ["dt = 1e-3", "c_transp = 0.5", "output_dir = out"])
 def test_step_settings_other_than_c_relax_are_unknown_keys(tmp_path, capsys, line, command):
     cfg = write_cfg(tmp_path, BASE + line + "\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -107,7 +108,8 @@ def test_step_settings_other_than_c_relax_are_unknown_keys(tmp_path, capsys, lin
 @pytest.mark.parametrize("eps, line", [
     (1e-15, "c_relax = 1e-300"),  # c_relax * tau*eps^2 = 1e-330 underflows to 0
     (1e-200, ""),  # tau*eps^2 = 1e-400 underflows to 0
-], ids=["c_relax", "eps"])
+    (1e-15, "c_relax = 1e-290"),  # dt = 1e-320 > 0, but t_end + dt == t_end
+], ids=["c_relax", "eps", "subnormal"])
 def test_step_that_underflows_to_0_is_a_constraint_violation(tmp_path, capsys, command,
                                                              eps, line):
     text = BASE.replace("n = 32", "n = 16").replace("epsilon = 0.1", f"epsilon = {eps:g}")
@@ -118,15 +120,15 @@ def test_step_that_underflows_to_0_is_a_constraint_violation(tmp_path, capsys, c
     assert main(args) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert re.fullmatch(r"constraint violation: time step dt = min\(relaxation bound 0, "
-                        r"transport bound \d\.\d+e-\d+\) is not positive\n", err)
+    assert re.fullmatch(r"constraint violation: time step dt = min\(relaxation bound "
+                        r"(0|\d\.\d+e-\d+), transport bound \d\.\d+e-\d+\) = \1 is below "
+                        r"the float spacing 6\.93889e-18 at t_end = 0\.05\n", err)
 
 
 def test_run_equilibrium_records(tmp_path):
     cfg = write_cfg(tmp_path, BASE.replace("t_end = 0.05", "t_end = 1.0")
-                    + "initial_data = zero\n"
-                    + f"output_dir = {tmp_path / 'out'}\n")
-    assert main(["run", "--config", cfg]) == 0
+                    + "initial_data = zero\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     records = (tmp_path / "out" / "records.csv").read_text().splitlines()
     header = records[0].split(",")
     assert header == ["t", "e0", "es", "dev_k", "dev_h", "dev_m", "dev_xi",
@@ -154,6 +156,27 @@ def test_run_writes_snapshots(tmp_path):
     fields, t = read_snapshot(snaps[0])
     assert fields.shape == (15, 32, 32)
     assert t == 0.0
+
+
+def test_last_record_takes_the_snapshot_times_left(tmp_path):
+    # the run ends within 1e-12 * t_end of t_end = 20, at 19.999999999998685,
+    # short of 20 - 1e-12
+    cfg = write_cfg(tmp_path, """
+epsilon = 0.2
+tau = 0.25
+lambda = 3
+nu = 1
+rho_bar = 1
+n = 16
+t_end = 20
+c_relax = 0.8
+record_every = 1000
+snapshot_times = 10, 20
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    snaps = sorted((tmp_path / "out").glob("snapshot_*.vbgk"))
+    assert [read_snapshot(path)[1] for path in snaps] == [15.999999999999124,
+                                                          19.999999999998685]
 
 
 def test_run_blowup_exit_code_and_partial_csv(tmp_path):
@@ -393,6 +416,23 @@ def test_output_directory_that_cannot_be_made_exits_1(tmp_path, capsys, command,
     assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == 1
     assert capsys.readouterr().err == (
         f"config error: cannot make output directory {tmp_path / out}: {reason}\n")
+
+
+@pytest.mark.parametrize("command, name", [
+    ("run", "records.csv"), ("run", "snapshot_000.vbgk"), ("sweep", "study.csv"),
+    ("reference", "reference.csv"),
+])
+def test_output_file_that_cannot_be_written_exits_1(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = write_cfg(tmp_path, BASE.replace("t_end = 0.05", "t_end = 0.01")
+                    + "transport_mode = upwind\nsnapshot_times = 0\n")
+    args = [command, "--config", cfg, "--out", str(out)]
+    if command == "sweep":
+        args += ["--epsilons", "0.2,0.1,0.05"]
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"config error: cannot write {out / name}:"
+                                       " Is a directory\n")
 
 
 def test_sweep_member_directory_that_cannot_be_made_exits_1(tmp_path, capsys, monkeypatch):

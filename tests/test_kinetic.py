@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -260,15 +261,19 @@ def test_time_grid_partial_final_step():
     assert seen == list(zip([0, 4, 8, 10], recorded))
 
 
-@pytest.mark.parametrize("eps, c_relax", [(1e-15, 1e-300), (1e-200, 1.0)])
+# the third step, 1e-320, is positive, but 0.05 + 1e-320 == 0.05
+@pytest.mark.parametrize("eps, c_relax", [(1e-15, 1e-300), (1e-200, 1.0), (1e-15, 1e-290)])
 def test_step_that_underflows_to_0_raises_instead_of_looping(eps, c_relax):
     g = Grid(8)
     p = make_params(eps, 1.0, 2.0, 0.01, 1.0)
     cfg = SolverConfig(t_end=0.05, c_relax=c_relax)
-    assert cfg.base_dt(p, g.dx) == 0.0
-    with pytest.raises(ValueError, match=r"^time step must be positive, got 0\.0$"):
+    dt = cfg.base_dt(p, g.dx)
+    assert 0.05 + dt == 0.05
+    message = (rf"^time step {re.escape(repr(dt))} is below the float spacing "
+               rf"6\.938893903907228e-18 at t_end = 0\.05$")
+    with pytest.raises(ValueError, match=message):
         step_times(cfg, p, g.dx)
-    with pytest.raises(ValueError, match=r"^time step must be positive, got 0\.0$"):
+    with pytest.raises(ValueError, match=message):
         run(equilibrium_state(g, p), cfg)
 
 
@@ -321,11 +326,11 @@ def test_run_aborts_on_high_wavenumber_instability():
 @pytest.mark.parametrize("rho, message", [
     (0.0, "density must be positive, min = 0"),
     (-0.1, "density must be positive, min = -0.1"),
-    (np.nan, "density contains non-finite values"),
+    (np.nan, "non-finite values in kinetic state"),
 ])
 def test_run_rejects_bad_initial_density(grid32, params_default, rho, message):
-    # the initial density is checked once, before the loop, with the messages
-    # of relaxation_step's check
+    # the input is checked before its record, with the messages of the check
+    # made after each transport
     f = equilibrium_state(grid32, params_default).f.copy()
     f[4, 0, 2, 3] = rho - f[:4, 0, 2, 3].sum()
     with pytest.raises(BlowupDetected, match=message) as exc_info:
@@ -342,9 +347,13 @@ def test_run_aborts_on_non_finite_momentum(grid32, params_default, mode, bad):
         f = taylor_green_state(grid32, params_default).f.copy()
         f[entry] = bad
         st0 = KineticState(grid32, params_default, f)
+        seen = []
         with pytest.raises(BlowupDetected, match="non-finite values in kinetic state") as exc:
-            run(st0, SolverConfig(t_end=0.1, transport_mode=mode))
+            run(st0, SolverConfig(t_end=0.1, transport_mode=mode),
+                on_record=lambda t, s, step: seen.append(step))
         assert exc.value.t_last_good == 0.0
+        # caught before the first record and the first relaxation
+        assert seen == []
 
 
 def test_spectral_and_upwind_agree_under_refinement():
