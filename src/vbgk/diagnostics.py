@@ -13,11 +13,21 @@ macroscopic fields against an incompressible reference solution:
 
     e0 = ||rho - rho_bar||_0 / eps + ||rho u - rho_bar u_ref||_0
     es = ||rho - rho_bar||_s' / eps + ||u - u_ref||_s'
+
+A run takes a record every few steps, so a record allocates nothing of the
+size of a field: compute_record, deviation_norms and error_functionals fill
+one record scratch per grid (``_RecordScratch``), made by the grid's first
+record and cached like the Navier-Stokes wavenumber tables.  It holds
+15 n^2 + 6 n floats, the size of one kinetic state: 0.49 MB at n = 64,
+1.97 MB at n = 128.  The derivatives take real 1D transforms into it, both
+Sobolev norms share one rfft2 (``grid.coefficient_norm`` weighs it), and
+the sums of squares are dot products of flat views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,17 +36,63 @@ from .errors import NonPositiveError, TooFewPoints
 from .model import KineticState, ModelParams, check_density, fluxes
 
 
+class _RecordScratch:
+    """The buffers of a record on one grid, filled in place by every record.
+
+    w (3, n, n) holds the moments, pair (2, 3, n, n) and field (3, n, n)
+    the fields a phase works on, and coeffs one stacked transform, 3 n (n/2+1)
+    complex values, whose float view also serves as a (3, n, n) real buffer,
+    ``real``.  The phases of a record take turns with them:
+
+    * deviation_norms: pair holds m - A(w)/eps for both directions; per
+      direction, field holds k (or h), then its derivative, and real
+      k - 2 a w before coeffs takes the transform;
+    * error_functionals: pair holds rho - rho_bar, u - u_ref and
+      rho u - rho_bar u_ref, coeffs their rfft2; compute_record puts u in
+      field;
+    * the entropy surrogate (pair), the bound functional and the pressure
+      pairings (field).
+
+    That is 15 n^2 + 6 n floats per grid, 0.49 MB at n = 64 and 1.97 MB at
+    n = 128, the size of one kinetic state; the record functions that use it
+    are not thread-safe.
+    """
+
+    def __init__(self, n: int):
+        self.w = np.empty((3, n, n))
+        self.pair = np.empty((2, 3, n, n))
+        self.field = np.empty((3, n, n))
+        self.coeffs = np.empty((3, n, n // 2 + 1), dtype=complex)
+        self.real = self.coeffs.reshape(-1).view(float)[:3 * n * n].reshape(3, n, n)
+
+
+@lru_cache(maxsize=8)
+def _scratch(grid: gridmod.Grid) -> _RecordScratch:
+    return _RecordScratch(grid.n)
+
+
 def error_functionals(grid: gridmod.Grid, rho: np.ndarray, u: np.ndarray, u_ref: np.ndarray,
                       params: ModelParams, s_prime: float) -> tuple[float, float]:
     """(e0, es) of density rho and velocity u = (q1, q2)/(eps*rho) against a
-    reference velocity u_ref (2, n, n) on grid."""
+    reference velocity u_ref (2, n, n) on grid.
+
+    One rfft2 of (rho - rho_bar, u - u_ref) gives both Sobolev norms.  u may
+    lie in the record scratch's field buffer, not in its pair buffer.
+    """
     grid.check_field(rho)
-    rho_dev = rho - params.rho_bar
-    mom_dev = rho * u - params.rho_bar * u_ref
-    vel_dev = u - u_ref
+    sc = _scratch(grid)
+    devs = sc.pair.reshape(6, grid.n, grid.n)
+    rho_dev, vel_dev, mom_dev, tmp = devs[0], devs[1:3], devs[3:5], devs[5]
+    np.subtract(rho, params.rho_bar, out=rho_dev)
+    for j in range(2):
+        np.multiply(rho, u[j], out=mom_dev[j])
+        np.multiply(params.rho_bar, u_ref[j], out=tmp)
+        mom_dev[j] -= tmp
+    np.subtract(u, u_ref, out=vel_dev)
     e0 = gridmod.l2_norm(grid, rho_dev) / params.epsilon + gridmod.l2_norm(grid, mom_dev)
-    es = (gridmod.sobolev_norm(grid, rho_dev, s_prime) / params.epsilon
-          + gridmod.sobolev_norm(grid, vel_dev, s_prime))
+    coeffs = np.fft.rfft2(devs[:3], out=sc.coeffs)
+    es = (gridmod.coefficient_norm(grid, coeffs[0], s_prime) / params.epsilon
+          + gridmod.coefficient_norm(grid, coeffs[1:], s_prime))
     return e0, es
 
 
@@ -48,32 +104,44 @@ def deviation_norms(f: np.ndarray, w: np.ndarray, grid: gridmod.Grid,
     Returns (dev_k, dev_h, dev_m, dev_xi) with
     dev_k = ||k - 2aw||, dev_m = ||m - A_1(w)/eps + tau*lam^2*dx(k)||
     and the y-analogues for h and xi.  Rejects a non-positive or non-finite
-    density of w.
+    density of w.  w may be the record scratch's w buffer.
     """
     check_density(w[0])
-    a = params.a
+    sc = _scratch(grid)
     visc = params.tau * params.lam ** 2
     fac = params.lam / params.epsilon
-    k = f[0] + f[2]
-    h = f[1] + f[3]
-    dev_k = gridmod.l2_norm(grid, k - 2.0 * a * w)
-    dev_h = gridmod.l2_norm(grid, h - 2.0 * a * w)
-    a1, a2 = fluxes(w, params) / params.epsilon
-    dkx = gridmod.spectral_derivative(grid, k, "x")
-    dhy = gridmod.spectral_derivative(grid, h, "y")
-    dev_m = gridmod.l2_norm(grid, fac * (f[0] - f[2]) - a1 + visc * dkx)
-    dev_xi = gridmod.l2_norm(grid, fac * (f[1] - f[3]) - a2 + visc * dhy)
-    return dev_k, dev_h, dev_m, dev_xi
+    mom, field, real = sc.pair, sc.field, sc.real
+    fluxes(w, params, out=mom)
+    mom /= params.epsilon
+    devs = []
+    for j, axis in enumerate("xy"):
+        # mom[j] <- fac*(f_j - f_{j+2}) - A_j/eps
+        np.subtract(f[j], f[j + 2], out=real)
+        real *= fac
+        np.subtract(real, mom[j], out=mom[j])
+        np.add(f[j], f[j + 2], out=field)
+        np.multiply(2.0 * params.a, w, out=real)
+        np.subtract(field, real, out=real)
+        devs.append(gridmod.l2_norm(grid, real))
+        gridmod.spectral_derivative(grid, field, axis, out=field, coeffs=sc.coeffs)
+        field *= visc
+        mom[j] += field
+    dev_k, dev_h = devs
+    return dev_k, dev_h, gridmod.l2_norm(grid, mom[0]), gridmod.l2_norm(grid, mom[1])
 
 
-def _pressure_field(rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    field = (rho ** 2 - params.rho_bar ** 2) / (2.0 * params.rho_bar * params.epsilon ** 2)
-    return field - np.mean(field)
+def _pressure_field(rho: np.ndarray, params: ModelParams, out: np.ndarray) -> np.ndarray:
+    np.multiply(rho, rho, out=out)
+    out -= params.rho_bar ** 2
+    out /= 2.0 * params.rho_bar * params.epsilon ** 2
+    out -= np.mean(out)
+    return out
 
 
 def pairing(f: np.ndarray, phi: np.ndarray) -> float:
     """Normalized-measure inner product of two fields."""
-    return float(np.mean(np.asarray(f) * np.asarray(phi)))
+    f = np.asarray(f, dtype=float).reshape(-1)
+    return float(np.dot(f, np.asarray(phi, dtype=float).reshape(-1))) / f.size
 
 
 #: fixed smooth test functions phi(x, y) of the weak-star pressure proxy, by name
@@ -89,26 +157,54 @@ def pressure_test_functions(grid: gridmod.Grid) -> dict[str, np.ndarray]:
     return {name: phi(grid.x, grid.y) for name, phi in PRESSURE_TEST_FUNCTIONS.items()}
 
 
-def relative_entropy_surrogate(w: np.ndarray, w_ref: np.ndarray,
-                               params: ModelParams) -> float:
+def relative_entropy_surrogate(w: np.ndarray, w_ref: np.ndarray, params: ModelParams,
+                               out: np.ndarray | None = None) -> float:
     """Quadratic relative entropy eta(w) - eta(w_ref) - grad eta(w_ref).(w - w_ref).
 
     For eta = |q|^2/(2*rho) + rho^2/(2*rho_bar) this is, written out,
     (rho - rho_ref)^2/(2*rho_bar) + rho*|q/rho - q_ref/rho_ref|^2/2.
     A macroscopic surrogate for the kinetic relative entropy, whose exact
     form is not available in closed form; labeled as such in all outputs.
+    out, when given, is a (3, ...) scratch of the shape of w; it is
+    overwritten.
     """
+    # flat (3, points) views, so that a single point (3,) works too
+    w = np.reshape(w, (3, -1))
+    w_ref = np.reshape(w_ref, (3, -1))
+    out = np.empty(w.shape) if out is None else out.reshape(3, -1)
     rho, rho_ref = w[0], w_ref[0]
-    du = w[1:] / rho - w_ref[1:] / rho_ref
-    dens = (rho - rho_ref) ** 2 / (2.0 * params.rho_bar) + 0.5 * rho * np.sum(du * du, axis=0)
-    return float(np.mean(dens))
+    du, tmp = out[:2], out[2]
+    for j in range(2):
+        np.divide(w[1 + j], rho, out=du[j])
+        np.divide(w_ref[1 + j], rho_ref, out=tmp)
+        du[j] -= tmp
+    du *= du
+    kinetic = du[0]
+    kinetic += du[1]
+    kinetic *= rho
+    np.subtract(rho, rho_ref, out=tmp)
+    tmp *= tmp
+    tmp /= params.rho_bar
+    tmp += kinetic
+    # the halving is exact, so the factor 1/2 of both terms is taken last
+    return 0.5 * float(np.mean(tmp))
 
 
-def bound_functional(w: np.ndarray, params: ModelParams) -> float:
-    """|rho - rho_bar|_inf / eps + |rho u|_inf of the moments w, the quantity kept below M."""
-    rho_dev = gridmod.linf_norm(w[0] - params.rho_bar) / params.epsilon
-    mom = gridmod.linf_norm(np.sqrt((w[1] / params.epsilon) ** 2 + (w[2] / params.epsilon) ** 2))
-    return rho_dev + mom
+def bound_functional(w: np.ndarray, params: ModelParams, out: np.ndarray | None = None) -> float:
+    """|rho - rho_bar|_inf / eps + |rho u|_inf of the moments w, the quantity
+    kept below M; out, when given, is a (2, ...) scratch and is overwritten."""
+    if out is None:
+        out = np.empty((2,) + np.shape(w)[1:])
+    # subtracting a constant and sqrt are monotone, so the extrema can be
+    # taken first: the same values with fewer passes
+    rho_dev = max(float(np.max(w[0])) - params.rho_bar, params.rho_bar - float(np.min(w[0])))
+    tmp, mom = out
+    np.divide(w[1], params.epsilon, out=mom)
+    mom *= mom
+    np.divide(w[2], params.epsilon, out=tmp)
+    tmp *= tmp
+    mom += tmp
+    return rho_dev / params.epsilon + float(np.sqrt(np.max(mom)))
 
 
 @dataclass(frozen=True)
@@ -139,20 +235,29 @@ def compute_record(state: KineticState, u_ref: np.ndarray, p_ref: np.ndarray,
     """One record against the reference velocity u_ref (2, n, n) and pressure
     p_ref; phis is pressure_test_functions(grid).
 
-    w is summed once, and deviation_norms makes the record's one density check.
+    w is summed once, and deviation_norms makes the record's one density
+    check.  Every field is made in the grid's record scratch, so a record
+    allocates nothing of the size of a field after the grid's first.
     """
     grid = state.grid
     p = state.params
-    w = state.w()
+    sc = _scratch(grid)
+    w = np.sum(state.f, axis=0, out=sc.w)
     dev_k, dev_h, dev_m, dev_xi = deviation_norms(state.f, w, grid, p)
     rho = w[0]
-    e0, es = error_functionals(grid, rho, w[1:] / (p.epsilon * rho), u_ref, p, s_prime)
-    w_ref = np.stack([
-        np.full((grid.n, grid.n), p.rho_bar),
-        p.epsilon * p.rho_bar * u_ref[0],
-        p.epsilon * p.rho_bar * u_ref[1],
-    ])
-    recovered = _pressure_field(rho, p)
+    field = sc.field
+    u = field[1:3]
+    np.multiply(p.epsilon, rho, out=field[0])
+    for j in range(2):
+        np.divide(w[1 + j], field[0], out=u[j])
+    e0, es = error_functionals(grid, rho, u, u_ref, p, s_prime)
+    w_ref, tmp = sc.pair
+    w_ref[0] = p.rho_bar
+    np.multiply(p.epsilon * p.rho_bar, u_ref, out=w_ref[1:])
+    eta = relative_entropy_surrogate(w, w_ref, p, out=tmp)
+    # <recovered, phi> - <p_ref, phi> as one pairing of the difference
+    mismatch = _pressure_field(rho, p, out=field[0])
+    mismatch -= p_ref
     return DiagnosticsRecord(
         t=t,
         e0=e0,
@@ -161,12 +266,11 @@ def compute_record(state: KineticState, u_ref: np.ndarray, p_ref: np.ndarray,
         dev_h=dev_h,
         dev_m=dev_m,
         dev_xi=dev_xi,
-        eta_surrogate=relative_entropy_surrogate(w, w_ref, p),
+        eta_surrogate=eta,
         rho_min=float(np.min(rho)),
         rho_max=float(np.max(rho)),
-        sup_bound_functional=bound_functional(w, p),
-        pairing_error={name: pairing(recovered, phi) - pairing(p_ref, phi)
-                       for name, phi in phis.items()},
+        sup_bound_functional=bound_functional(w, p, out=field[1:3]),
+        pairing_error={name: pairing(mismatch, phi) for name, phi in phis.items()},
     )
 
 

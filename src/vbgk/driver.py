@@ -18,7 +18,7 @@ n = 209, so the child writes one without waiting; a full pipe blocks it,
 which bounds how far it runs ahead.
 
 The reference does not depend on the kinetic state and a run's record times
-are known before it starts (``kinetic.step_times``), so every reference
+are known before it starts (``kinetic.record_times``), so every reference
 record comes from one stream, ``_reference_records``: the generator of
 (t, (u, p)) at those times through ``ReferenceTrajectory.at``, the one
 reference code path.  ``vbgk reference`` iterates it to write its files.  A
@@ -65,6 +65,7 @@ import fcntl
 import math
 import os
 import pickle
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -381,7 +382,8 @@ def run_simulation(cfg: RunConfig,
     blow-up the partial records collected so far are kept and the exception
     is stored on the output instead of propagating.  States at the first
     record time at or after each configured snapshot time are captured, and
-    the last record takes every snapshot time not yet reached.
+    the last record takes every snapshot time not yet reached; times that one
+    record takes share its snapshot, with a warning on stderr.
     The reference records come from _reference_records, stepped by a forked
     child (ForkedChannel) on any data but Taylor-Green; the child is reaped
     before this returns or raises.
@@ -392,7 +394,7 @@ def run_simulation(cfg: RunConfig,
     # functions held a vortex_reference process's peak RSS about 0.75 MB higher
     phis = diag.pressure_test_functions(grid)
     state0 = model.initial_kinetic_state(grid, u0, params)
-    _, times = kinetic.step_times(report.solver, params, grid.dx)
+    times = kinetic.record_times(report.solver, params, grid.dx)
     refs = _reference_records(ReferenceTrajectory(cfg, grid, u0), times)
     if cfg.initial_data != "taylor_green":
         refs = ForkedChannel(refs)
@@ -413,9 +415,14 @@ def run_simulation(cfg: RunConfig,
         records.append(diag.compute_record(state, u_ref, p_ref, phis, cfg.s_prime, t))
         # snapshots keyed by the actual record time reached; the run ends within
         # 1e-12 * max(1, t_end) of t_end, so the last record takes every time left
+        taken = []
         while pending and (t >= pending[0] - 1e-12 or len(records) == len(times)):
-            pending.pop(0)
+            taken.append(pending.pop(0))
             captured[t] = state
+        if len(taken) > 1:
+            print(f"warning: snapshot times {', '.join(f'{s:g}' for s in taken)} all fall"
+                  f" on the record at t = {t!r}; one snapshot file holds them",
+                  file=sys.stderr)
 
     error = None
     try:
@@ -615,7 +622,7 @@ def reference_to_files(cfg: RunConfig, out_dir) -> list[float]:
     """cmd_reference body: reference snapshots + energy series at record times."""
     out_dir = make_dir(out_dir)
     report = validate(cfg)
-    _, times = kinetic.step_times(report.solver, report.params, report.grid.dx)
+    times = kinetic.record_times(report.solver, report.params, report.grid.dx)
     records = _reference_records(ReferenceTrajectory(cfg, report.grid, report.u0), times)
     rows = ["t,energy"]
     for i, (t, (u, p)) in enumerate(records):

@@ -15,7 +15,7 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,18 +39,23 @@ class Grid:
         return TWO_PI / self.n
 
     @cached_property
+    def coords(self) -> np.ndarray:
+        """The n grid coordinates of either axis, shape (n,)."""
+        arr = np.arange(self.n) * self.dx
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
     def x(self) -> np.ndarray:
         """x coordinate, shape (n, n), constant along axis 1."""
-        coords = np.arange(self.n) * self.dx
-        arr = np.repeat(coords[:, None], self.n, axis=1)
+        arr = np.repeat(self.coords[:, None], self.n, axis=1)
         arr.setflags(write=False)
         return arr
 
     @cached_property
     def y(self) -> np.ndarray:
         """y coordinate, shape (n, n), constant along axis 0."""
-        coords = np.arange(self.n) * self.dx
-        arr = np.repeat(coords[None, :], self.n, axis=0)
+        arr = np.repeat(self.coords[None, :], self.n, axis=0)
         arr.setflags(write=False)
         return arr
 
@@ -92,7 +97,18 @@ class Grid:
         return f
 
 
-def spectral_derivative(grid: Grid, f: np.ndarray, axis: str, order: int = 1) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _derivative_factor(grid: Grid, order: int) -> np.ndarray:
+    """(i k)^order for the wavenumber k of the last axis of the rfft layout,
+    repeated on every row: shape (n, n/2+1)."""
+    arr = np.repeat(((1j * np.arange(grid.n // 2 + 1)) ** order)[None, :], grid.n, axis=0)
+    arr.setflags(write=False)
+    return arr
+
+
+def spectral_derivative(grid: Grid, f: np.ndarray, axis: str, order: int = 1,
+                        out: np.ndarray | None = None,
+                        coeffs: np.ndarray | None = None) -> np.ndarray:
     """Derivative of given order along 'x' or 'y' via (i k)^order multipliers.
 
     The multiplier depends on one wavenumber only, so one real 1D transform
@@ -100,44 +116,74 @@ def spectral_derivative(grid: Grid, f: np.ndarray, axis: str, order: int = 1) ->
     (..., n, n) stack.  The inverse real transform keeps only the real part
     of the Nyquist coefficient k = n/2, so odd orders drop that mode and the
     derivative of a real field stays real.
+
+    The transform is laid out (..., n, n/2+1), wavenumber last, along either
+    axis (transposed along x), so one full multiplier table serves both and
+    no operand is broadcast.  out, when given, receives the derivative (the
+    shape of f), and coeffs, when given, the transform: a C-contiguous
+    complex (..., n, n/2+1) buffer, overwritten.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     if order < 1 or int(order) != order:
         raise ValueError(f"derivative order must be a positive integer, got {order}")
     f = grid.check_field(f)
-    factor = (1j * np.arange(grid.n // 2 + 1)) ** order
+    factor = _derivative_factor(grid, int(order))
+    if coeffs is None:
+        coeffs = np.empty(f.shape[:-1] + factor.shape[-1:], dtype=complex)
     along = -2 if axis == "x" else -1
-    if axis == "x":
-        factor = factor[:, None]
-    F = np.fft.rfft(f, axis=along)
-    F *= factor
-    return np.fft.irfft(F, n=grid.n, axis=along)
+    F = np.fft.rfft(f, axis=along, out=coeffs if axis == "y" else coeffs.swapaxes(-1, -2))
+    for plane in coeffs.reshape((-1,) + factor.shape):
+        plane *= factor
+    return np.fft.irfft(F, n=grid.n, axis=along, out=out)
+
+
+@lru_cache(maxsize=8)
+def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
+    """(1+|k|^2)^s on the rfft2 layout, flat, for coefficient_norm.
+
+    Each interior ky column stands for itself and its mirror -ky, so its
+    weight is doubled; the ky = 0 and n/2 columns count once.  Each weight
+    is repeated for the real and the imaginary part of its coefficient, the
+    layout of a C-contiguous (n, n/2+1) complex array viewed as floats.
+    """
+    weight = np.ones(grid.rksq.shape) if s == 0 else (1.0 + grid.rksq) ** s
+    weight[:, 1:grid.n // 2] *= 2.0
+    arr = np.repeat(weight, 2, axis=-1).ravel()
+    arr.setflags(write=False)
+    return arr
+
+
+def coefficient_norm(grid: Grid, coeffs: np.ndarray, s: float) -> float:
+    """H^s norm of the field, or root-sum-of-squares over a stack, whose
+    rfft2 coefficients are coeffs, a C-contiguous (..., n, n/2+1) array;
+    squares coeffs in place."""
+    weight = _sobolev_weight(grid, s)
+    power = coeffs.view(float).reshape(-1, weight.size)
+    np.multiply(power, power, out=power)
+    return float(np.sqrt(np.sum(power @ weight))) / grid.n ** 2
 
 
 def sobolev_norm(grid: Grid, f: np.ndarray, s: float) -> float:
     """H^s norm under the normalized-measure convention.
 
     Accepts (n, n) scalar fields or (..., n, n) stacks, which are reduced
-    by root-sum-of-squares over the leading axes.  The sum runs over the
-    rfft2 coefficients: each interior ky column stands for itself and its
-    mirror -ky, so it counts twice; the ky = 0 and n/2 columns count once.
+    by root-sum-of-squares over the leading axes.
     """
     if s < 0:
         raise ValueError(f"Sobolev index must be >= 0, got {s}")
     f = grid.check_field(f)
-    coeffs = np.fft.rfft2(f)
-    power = coeffs.real ** 2 + coeffs.imag ** 2
-    power[..., 1:grid.n // 2] *= 2.0
-    if s != 0:
-        power *= (1.0 + grid.rksq) ** s
-    return float(np.sqrt(np.sum(power))) / grid.n ** 2
+    return coefficient_norm(grid, np.fft.rfft2(f), s)
 
 
 def l2_norm(grid: Grid, f: np.ndarray) -> float:
-    """sobolev_norm(grid, f, 0) without the transform: Parseval's identity."""
-    f = grid.check_field(f)
-    return float(np.sqrt(np.sum(np.mean(f * f, axis=(-2, -1)))))
+    """sobolev_norm(grid, f, 0) without the transform: Parseval's identity.
+
+    One dot product over the flat field, which makes no temporary when f is
+    C-contiguous.
+    """
+    flat = grid.check_field(f).reshape(-1)
+    return float(np.sqrt(np.dot(flat, flat) / grid.n ** 2))
 
 
 def linf_norm(f: np.ndarray) -> float:

@@ -288,6 +288,15 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
     return state if step == 0 else ws.state()
 
 
+def record_times(cfg: SolverConfig, params, dx: float) -> list[float]:
+    """The times at which run() calls on_record, t = 0 first.
+
+    The time grid is walked one step at a time and only the recorded times
+    are kept, so the list grows with the record count, not the step count.
+    """
+    return [0.0] + [t for _, t, _, rec in _time_grid(cfg, cfg.base_dt(params, dx)) if rec]
+
+
 def step_times(cfg: SolverConfig, params, dx: float) -> tuple[list[float], list[float]]:
     """Times after each step of run() and the recorded subset (with t = 0)."""
     grid = list(_time_grid(cfg, cfg.base_dt(params, dx)))

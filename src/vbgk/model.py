@@ -176,8 +176,9 @@ def perturbed_maxwellians(grid: gridmod.Grid, w: np.ndarray,
 
     The corrections on the pairs (1, 3) and (2, 4) cancel, so the projection
     sum_i of the result reproduces w exactly.  Used to prepare initial data
-    that sits on the diffusive-limit manifold and avoids a kinetic initial
-    layer (the fifth density is left at its plain Maxwellian).
+    that sits on the first-order relaxation manifold (the fifth density is
+    left at its plain Maxwellian); a short layer onto the slow manifold,
+    O(eps^2) away, still forms within a few tau*eps^2.
     """
     w = grid.check_field(np.asarray(w, dtype=float))
     m = maxwellians(w, params)

@@ -71,14 +71,23 @@ def taylor_green_velocity(grid: Grid, t: float, nu: float) -> tuple[np.ndarray, 
     """Exact decaying vortex: u = (-cos x sin y, sin x cos y) e^{-2 nu t}.
 
     Returns the velocity (2, n, n) and the mean-zero pressure
-    p = -(cos 2x + cos 2y)/4 * e^{-4 nu t}.
+    p = -(cos 2x + cos 2y)/4 * e^{-4 nu t}.  Both axes share the grid's
+    coordinates, so the trigonometric functions are evaluated on them once
+    and the fields are their outer products and sums, the same values as the
+    2D closed form.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     decay = np.exp(-2.0 * nu * t)
-    x, y = grid.x, grid.y
-    u = np.stack([-np.cos(x) * np.sin(y) * decay, np.sin(x) * np.cos(y) * decay])
-    p = -0.25 * (np.cos(2 * x) + np.cos(2 * y)) * decay ** 2
+    x = grid.coords
+    cos, sin, cos2 = np.cos(x), np.sin(x), np.cos(2 * x)
+    u = np.empty((2, grid.n, grid.n))
+    np.multiply.outer(-cos, sin, out=u[0])
+    np.multiply.outer(sin, cos, out=u[1])
+    u *= decay
+    p = np.add.outer(cos2, cos2)
+    p *= -0.25
+    p *= decay ** 2
     return u, p
 
 

@@ -179,6 +179,34 @@ snapshot_times = 10, 20
                                                           19.999999999998685]
 
 
+def test_snapshot_times_that_share_a_record_warn(tmp_path, capsys):
+    # records at 0, 8, 16 and 20: 1, 2 and 3 all fall on the record at 8
+    cfg = write_cfg(tmp_path, """
+epsilon = 0.2
+tau = 0.25
+lambda = 3
+nu = 1
+rho_bar = 1
+n = 16
+t_end = 20
+c_relax = 0.8
+record_every = 1000
+snapshot_times = 1, 2, 3
+""")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    snaps = sorted((tmp_path / "out").glob("snapshot_*.vbgk"))
+    assert [read_snapshot(path)[1] for path in snaps] == [8.0000000000000053]
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: snapshot times 1, 2, 3 all fall on the record at"
+                   " t = 8.000000000000005; one snapshot file holds them"]
+
+
+def test_snapshot_times_on_separate_records_do_not_warn(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE + "snapshot_times = 0.0, 0.02\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_run_blowup_exit_code_and_partial_csv(tmp_path):
     # lam = 2 sits in the linearly unstable regime of the model; at
     # eps = 0.025 with exact transport the run aborts before t_end

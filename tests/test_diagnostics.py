@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -86,6 +88,105 @@ def test_macro_fields_velocity_scaling(grid32, params_default):
     d = l2_norm(grid32, state.w()[0] - p.rho_bar) / p.epsilon
     assert r2.es - d == pytest.approx(2 * (r1.es - d), rel=1e-12)
     assert r2.e0 - d == pytest.approx(2 * (r1.e0 - d), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the whole record against its functionals written out
+# ---------------------------------------------------------------------------
+
+def written_out_record(state, u_ref, p_ref, phis, s_prime):
+    """The record's functionals with plain numpy: full complex transforms,
+    means of squares and the pressure and entropy formulas."""
+    g, p, f = state.grid, state.params, state.f
+    n = g.n
+    k = np.fft.fftfreq(n, 1.0 / n)
+    kx, ky = k[:, None], k[None, :]
+
+    def l2(*fields):
+        return np.sqrt(sum(np.mean(a * a) for a in fields))
+
+    def hs(*fields):
+        weight = (1.0 + kx ** 2 + ky ** 2) ** s_prime
+        return np.sqrt(sum(np.sum(weight * np.abs(np.fft.fft2(a) / n ** 2) ** 2)
+                           for a in fields))
+
+    def d(a, kvec):
+        # odd derivative: the Nyquist mode is dropped
+        mult = 1j * np.where(np.abs(kvec) == n // 2, 0.0, kvec)
+        return np.real(np.fft.ifft2(mult * np.fft.fft2(a)))
+
+    w = f.sum(axis=0)
+    rho, q1, q2 = w
+    kk, hh = f[0] + f[2], f[1] + f[3]
+    fac, visc = p.lam / p.epsilon, p.tau * p.lam ** 2
+    pres = (rho ** 2 - p.rho_bar ** 2) / (2.0 * p.rho_bar)
+    a1 = np.stack([q1, q1 * q1 / rho + pres, q1 * q2 / rho]) / p.epsilon
+    a2 = np.stack([q2, q1 * q2 / rho, q2 * q2 / rho + pres]) / p.epsilon
+    dm = fac * (f[0] - f[2]) - a1 + visc * np.stack([d(c, kx) for c in kk])
+    dxi = fac * (f[1] - f[3]) - a2 + visc * np.stack([d(c, ky) for c in hh])
+    u1, u2 = q1 / (p.epsilon * rho), q2 / (p.epsilon * rho)
+    du1, du2 = q1 / rho - p.epsilon * u_ref[0], q2 / rho - p.epsilon * u_ref[1]
+    recovered = pres / p.epsilon ** 2
+    recovered -= recovered.mean()
+    return {
+        "e0": l2(rho - p.rho_bar) / p.epsilon
+        + l2(rho * u1 - p.rho_bar * u_ref[0], rho * u2 - p.rho_bar * u_ref[1]),
+        "es": hs(rho - p.rho_bar) / p.epsilon + hs(u1 - u_ref[0], u2 - u_ref[1]),
+        "dev_k": l2(*(kk - 2.0 * p.a * w)),
+        "dev_h": l2(*(hh - 2.0 * p.a * w)),
+        "dev_m": l2(*dm),
+        "dev_xi": l2(*dxi),
+        "eta_surrogate": np.mean((rho - p.rho_bar) ** 2 / (2.0 * p.rho_bar)
+                                 + 0.5 * rho * (du1 ** 2 + du2 ** 2)),
+        "rho_min": rho.min(),
+        "rho_max": rho.max(),
+        "sup_bound_functional": np.max(np.abs(rho - p.rho_bar)) / p.epsilon
+        + np.max(np.hypot(q1, q2)) / p.epsilon,
+        "pairing_error": {name: np.mean((recovered - p_ref) * phi) for name, phi in phis.items()},
+    }
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("seed", [3, 17])
+def test_compute_record_equals_the_written_out_functionals(n, seed):
+    g = Grid(n)
+    p = make_params(0.05, 0.25, 3.0, 1.0, 1.0)
+    rng = np.random.default_rng(seed)
+    u_ref, _ = taylor_green_velocity(g, 0.3, p.nu)
+    p_ref = random_field(seed + 1, n)
+    phis = pressure_test_functions(g)
+    prepared = initial_kinetic_state(g, u_ref, p)
+    random = KineticState(g, p, 0.3 + 0.05 * rng.random((5, 3, n, n)))
+    for state in (random, prepared):
+        for s_prime in (0.0, 1.5):
+            got = compute_record(state, u_ref, p_ref, phis, s_prime, 0.0)
+            want = written_out_record(state, u_ref, p_ref, phis, s_prime)
+            # the prepared state's deviations and errors are pure round-off, ~1e-15
+            for name, value in want.items():
+                if name == "pairing_error":
+                    assert got.pairing_error == pytest.approx(value, rel=1e-12, abs=1e-13)
+                else:
+                    assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=1e-13), name
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_repeated_record_allocates_no_field(n):
+    # the record scratch of a grid is made by its first record; later
+    # records make nothing of the size of an (n, n) field
+    g = Grid(n)
+    p = make_params(0.05, 0.25, 3.0, 1.0, 1.0)
+    u_ref, p_ref = taylor_green_velocity(g, 0.3, p.nu)
+    state = initial_kinetic_state(g, u_ref, p)
+    phis = pressure_test_functions(g)
+    first = compute_record(state, u_ref, p_ref, phis, 1.0, 0.0)
+    tracemalloc.start()
+    try:
+        second = compute_record(state, u_ref, p_ref, phis, 1.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    assert peak < 8 * n * n
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vbgk.errors import BlowupDetected, CflViolation, ConstraintViolation, NonPo
 from vbgk.grid import Grid, l2_norm
 from vbgk.kinetic import (
     SolverConfig,
+    record_times,
     relaxation_step,
     run,
     step_times,
@@ -404,3 +406,28 @@ def test_step_keeps_upwind_cfl_within_transport_bound(eps, lam, tau, n, c_relax)
     dx = Grid(n).dx
     dt = SolverConfig(t_end=1.0, c_relax=c_relax).base_dt(p, dx)
     assert lam * dt / (eps * dx) <= 0.5 * (1.0 + 1e-15)
+
+
+def test_record_times_keep_only_the_records():
+    # 10^6 steps of 5e-7 and 2 records: the step grid is walked, not kept
+    g = Grid(16)
+    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+    cfg = SolverConfig(t_end=0.5, c_relax=5e-5, record_every=10 ** 7)
+    assert cfg.base_dt(p, g.dx) == pytest.approx(5e-7, rel=1e-12)
+    tracemalloc.start()
+    try:
+        times = record_times(cfg, p, g.dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(times) == 2 and times[0] == 0.0
+    assert times[-1] == pytest.approx(0.5, rel=1e-12)
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("t_end, record_every", [(0.095, 4), (0.05, 1), (0.11, 7), (0.0, 3)])
+def test_record_times_equal_the_recorded_step_times(t_end, record_every):
+    g = Grid(8)
+    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+    cfg = SolverConfig(t_end=t_end, record_every=record_every)
+    assert record_times(cfg, p, g.dx) == step_times(cfg, p, g.dx)[1]

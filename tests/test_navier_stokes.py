@@ -11,6 +11,7 @@ from vbgk.navier_stokes import (
     ns_step,
     pressure_from_velocity,
     taylor_green,
+    taylor_green_velocity,
 )
 
 
@@ -44,6 +45,18 @@ def test_taylor_green_point_values(grid32):
     state, _ = taylor_green(grid32, 0.0, 0.01)
     assert state.u1[0, 0] == 0.0
     assert state.u2[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 128])
+@pytest.mark.parametrize("t, nu", [(0.0, 0.01), (0.37, 0.01), (2.5, 1.0)])
+def test_taylor_green_velocity_is_the_2d_closed_form(n, t, nu):
+    # the separable evaluation gives the 2D closed form bit for bit
+    g = Grid(n)
+    x, y, decay = g.x, g.y, np.exp(-2.0 * nu * t)
+    u, p = taylor_green_velocity(g, t, nu)
+    assert np.array_equal(u[0], -np.cos(x) * np.sin(y) * decay)
+    assert np.array_equal(u[1], np.sin(x) * np.cos(y) * decay)
+    assert np.array_equal(p, -0.25 * (np.cos(2 * x) + np.cos(2 * y)) * decay ** 2)
 
 
 def test_taylor_green_energy_decay(grid32):
