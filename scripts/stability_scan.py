@@ -21,8 +21,12 @@ Usage:
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vbgk import stability
 from vbgk.errors import ConstraintViolation

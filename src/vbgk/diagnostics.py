@@ -16,18 +16,15 @@ macroscopic fields against an incompressible reference solution:
 
 A run takes a record every few steps, so a record allocates nothing of the
 size of a field: compute_record, deviation_norms and error_functionals fill
-one record scratch per grid (``_RecordScratch``), made by the grid's first
-record and cached like the Navier-Stokes wavenumber tables.  It holds
-15 n^2 + 6 n floats, the size of one kinetic state: 0.49 MB at n = 64,
-1.97 MB at n = 128.  The derivatives take real 1D transforms into it, both
-Sobolev norms share one rfft2 (``grid.coefficient_norm`` weighs it), and
-the sums of squares are dot products of flat views.
+the grid's scratch (``grid.Scratch``, which lists who uses which buffer).
+The derivatives take real 1D transforms into it, both Sobolev norms share
+one rfft2 (``grid.coefficient_norm`` weighs it), and the sums of squares
+are taken over flat views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,51 +33,16 @@ from .errors import NonPositiveError, TooFewPoints
 from .model import KineticState, ModelParams, check_density, fluxes
 
 
-class _RecordScratch:
-    """The buffers of a record on one grid, filled in place by every record.
-
-    w (3, n, n) holds the moments, pair (2, 3, n, n) and field (3, n, n)
-    the fields a phase works on, and coeffs one stacked transform, 3 n (n/2+1)
-    complex values, whose float view also serves as a (3, n, n) real buffer,
-    ``real``.  The phases of a record take turns with them:
-
-    * deviation_norms: pair holds m - A(w)/eps for both directions; per
-      direction, field holds k (or h), then its derivative, and real
-      k - 2 a w before coeffs takes the transform;
-    * error_functionals: pair holds rho - rho_bar, u - u_ref and
-      rho u - rho_bar u_ref, coeffs their rfft2; compute_record puts u in
-      field;
-    * the entropy surrogate (pair), the bound functional and the pressure
-      pairings (field).
-
-    That is 15 n^2 + 6 n floats per grid, 0.49 MB at n = 64 and 1.97 MB at
-    n = 128, the size of one kinetic state; the record functions that use it
-    are not thread-safe.
-    """
-
-    def __init__(self, n: int):
-        self.w = np.empty((3, n, n))
-        self.pair = np.empty((2, 3, n, n))
-        self.field = np.empty((3, n, n))
-        self.coeffs = np.empty((3, n, n // 2 + 1), dtype=complex)
-        self.real = self.coeffs.reshape(-1).view(float)[:3 * n * n].reshape(3, n, n)
-
-
-@lru_cache(maxsize=8)
-def _scratch(grid: gridmod.Grid) -> _RecordScratch:
-    return _RecordScratch(grid.n)
-
-
 def error_functionals(grid: gridmod.Grid, rho: np.ndarray, u: np.ndarray, u_ref: np.ndarray,
                       params: ModelParams, s_prime: float) -> tuple[float, float]:
     """(e0, es) of density rho and velocity u = (q1, q2)/(eps*rho) against a
     reference velocity u_ref (2, n, n) on grid.
 
     One rfft2 of (rho - rho_bar, u - u_ref) gives both Sobolev norms.  u may
-    lie in the record scratch's field buffer, not in its pair buffer.
+    lie in the grid scratch's field buffer, not in its pair buffer.
     """
     grid.check_field(rho)
-    sc = _scratch(grid)
+    sc = gridmod.scratch(grid)
     devs = sc.pair.reshape(6, grid.n, grid.n)
     rho_dev, vel_dev, mom_dev, tmp = devs[0], devs[1:3], devs[3:5], devs[5]
     np.subtract(rho, params.rho_bar, out=rho_dev)
@@ -104,10 +66,10 @@ def deviation_norms(f: np.ndarray, w: np.ndarray, grid: gridmod.Grid,
     Returns (dev_k, dev_h, dev_m, dev_xi) with
     dev_k = ||k - 2aw||, dev_m = ||m - A_1(w)/eps + tau*lam^2*dx(k)||
     and the y-analogues for h and xi.  Rejects a non-positive or non-finite
-    density of w.  w may be the record scratch's w buffer.
+    density of w.  w may be the grid scratch's w buffer.
     """
     check_density(w[0])
-    sc = _scratch(grid)
+    sc = gridmod.scratch(grid)
     visc = params.tau * params.lam ** 2
     fac = params.lam / params.epsilon
     mom, field, real = sc.pair, sc.field, sc.real
@@ -141,7 +103,8 @@ def _pressure_field(rho: np.ndarray, params: ModelParams, out: np.ndarray) -> np
 def pairing(f: np.ndarray, phi: np.ndarray) -> float:
     """Normalized-measure inner product of two fields."""
     f = np.asarray(f, dtype=float).reshape(-1)
-    return float(np.dot(f, np.asarray(phi, dtype=float).reshape(-1))) / f.size
+    # einsum, not np.dot: see grid.l2_norm
+    return float(np.einsum("i,i->", f, np.asarray(phi, dtype=float).reshape(-1))) / f.size
 
 
 #: fixed smooth test functions phi(x, y) of the weak-star pressure proxy, by name
@@ -236,12 +199,12 @@ def compute_record(state: KineticState, u_ref: np.ndarray, p_ref: np.ndarray,
     p_ref; phis is pressure_test_functions(grid).
 
     w is summed once, and deviation_norms makes the record's one density
-    check.  Every field is made in the grid's record scratch, so a record
+    check.  Every field is made in the grid's scratch, so a record
     allocates nothing of the size of a field after the grid's first.
     """
     grid = state.grid
     p = state.params
-    sc = _scratch(grid)
+    sc = gridmod.scratch(grid)
     w = np.sum(state.f, axis=0, out=sc.w)
     dev_k, dev_h, dev_m, dev_xi = deviation_norms(state.f, w, grid, p)
     rho = w[0]

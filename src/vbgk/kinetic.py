@@ -21,15 +21,15 @@ transport(dt), and the owed closing relaxation(dt/2) is applied only before
 a recorded state is handed out and at the end of the run.
 
 ``run`` allocates one workspace (``_Workspace``) and updates it in place:
-a copy of the state f, its moments w, two (3, n, n) flux buffers and the
-transform scratch of one mover, each buffer made by the first kernel that
-needs it.  Each substep is one in-place kernel, ``_relax`` or
-``_transport``.  Relaxation scales f by the decay factor and adds
-(1 - decay) * M_i(w) through ``model.add_maxwellians``, without building
-the (5, 3, n, n) Maxwellian stack.  ``relaxation_step`` and
-``transport_step`` copy their input into a fresh workspace and call the same
-kernels, so each substep has one implementation; a transport-only
-workspace holds no moments or flux buffers.  One copy per record:
+a copy of the state f and its moments w.  Each substep is one in-place
+kernel, ``_relax`` or ``_transport``, whose other buffers are the grid's
+scratch (``grid.Scratch``), shared with the diagnostics records.
+Relaxation scales f by the decay factor and adds (1 - decay) * M_i(w)
+through ``model.add_maxwellians``, without building the (5, 3, n, n)
+Maxwellian stack.  ``relaxation_step`` and ``transport_step`` copy their
+input into a fresh workspace and call the same kernels, so each substep has
+one implementation; a transport-only workspace holds no moments.  One copy
+per record:
 on_record receives the workspace's state buffer itself, and once it returns
 the loop continues on a copy, the only full-state allocation inside the
 loop.  So no state handed out is written to afterwards, and the copy is not
@@ -38,8 +38,8 @@ alive while the callback computes its diagnostics.
 Transport moves f_1 and f_3 along x and f_2 and f_4 along y, and f_5 not at
 all.  Spectral transport therefore needs no 2D transform: each mover takes
 one real 1D transform along its axis of motion, a phase multiplier and one
-inverse transform, all written into the workspace.  The inverse real
-transform keeps only the real part of the Nyquist coefficient, so the
+inverse transform, written into the scratch and back into f.  The inverse
+real transform keeps only the real part of the Nyquist coefficient, so the
 multiplier there is cos(k s), the same as taking the real part of a complex
 inverse transform.
 
@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid as gridmod
 from .errors import BlowupDetected, CflViolation
 from .model import (
     VELOCITY_DIRECTIONS,
@@ -111,19 +112,16 @@ _MOVERS = [(-2 if dx else -1, dx + dy) for dx, dy in VELOCITY_DIRECTIONS[:4].ast
 
 
 class _Workspace:
-    """The buffers of one run: the state f and the kernels' scratch.
+    """The state f of one run, updated in place by the kernels below.
 
-    The kernels below update f in place.  Each makes its scratch on first
-    use, so a workspace that only transports holds no moments and a spectral
-    run holds no upwind buffer.  Relaxation reads w = sum_i f_i, which the
-    caller sums before the first relaxation and again after each transport;
-    relaxation conserves it.
+    Relaxation reads w = sum_i f_i, which the caller sums before the first
+    relaxation and again after each transport; relaxation conserves it.
     """
 
     def __init__(self, state: KineticState):
         self.grid, self.params = state.grid, state.params
         self.f = state.f.copy()
-        self.w = self.flux = self.real = self.coeffs = None
+        self.w = None
 
     def state(self) -> KineticState:
         return KineticState(grid=self.grid, params=self.params, f=self.f)
@@ -133,16 +131,14 @@ def _transport_spectral(ws: _Workspace, dt: float) -> None:
     n, p = ws.grid.n, ws.params
     s = p.lam * dt / p.epsilon
     shift = np.exp(-1j * s * np.arange(n // 2 + 1))
-    if ws.coeffs is None:
-        # one mover's coefficients along y, (3, n, n/2+1), or along x, (3, n/2+1, n)
-        ws.coeffs = np.empty(3 * n * (n // 2 + 1), dtype=complex)
+    scratch = gridmod.scratch(ws.grid).coeffs
     for f_i, (axis, sign) in zip(ws.f, _MOVERS):
         phase = shift if sign > 0 else shift.conj()
         if axis == -2:
-            coeffs = ws.coeffs.reshape(3, n // 2 + 1, n)
+            coeffs = scratch.reshape(3, n // 2 + 1, n)
             phase = phase[:, None]
         else:
-            coeffs = ws.coeffs.reshape(3, n, n // 2 + 1)
+            coeffs = scratch
         np.fft.rfft(f_i, axis=axis, out=coeffs)
         coeffs *= phase
         np.fft.irfft(coeffs, n=n, axis=axis, out=f_i)
@@ -153,16 +149,15 @@ def _transport_upwind(ws: _Workspace, dt: float) -> None:
     # run() keeps cfl <= TRANSPORT_CFL; transport_step and strang_step take any dt
     if cfl > 1.0 + 1e-12:
         raise CflViolation(f"upwind CFL = {cfl:.4g} exceeds 1")
-    if ws.real is None:
-        ws.real = np.empty(ws.f.shape[1:])
+    shifted = gridmod.scratch(ws.grid).field
     for f_i, (axis, sign) in zip(ws.f, _MOVERS):
         # f_i <- (1 - cfl)*f_i + cfl*(f_i rolled by sign along axis): positive
         # speed takes the backward neighbour
-        src, dst = f_i.swapaxes(axis, -1), ws.real.swapaxes(axis, -1)
+        src, dst = f_i.swapaxes(axis, -1), shifted.swapaxes(axis, -1)
         np.multiply(src[..., :-sign], cfl, out=dst[..., sign:])
         np.multiply(src[..., -sign:], cfl, out=dst[..., :sign])
         f_i *= 1.0 - cfl
-        f_i += ws.real
+        f_i += shifted
 
 
 def _transport(ws: _Workspace, dt: float, mode: str) -> None:
@@ -181,11 +176,9 @@ def relaxation_decay(h: float, params) -> float:
 
 def _relax(ws: _Workspace, dt: float) -> None:
     """Relax ws.f over dt toward the Maxwellians of ws.w, whose density the caller checked."""
-    if ws.flux is None:
-        ws.flux = np.empty((2,) + ws.w.shape)
     decay = relaxation_decay(dt, ws.params)
     ws.f *= decay
-    add_maxwellians(ws.f, ws.w, 1.0 - decay, ws.params, ws.flux)
+    add_maxwellians(ws.f, ws.w, 1.0 - decay, ws.params, gridmod.scratch(ws.grid).pair)
 
 
 def transport_step(state: KineticState, dt: float, mode: str = "spectral") -> KineticState:

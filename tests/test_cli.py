@@ -1,6 +1,9 @@
 import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +149,26 @@ def test_run_reruns_byte_identical(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
     assert ((tmp_path / "a" / "records.csv").read_bytes()
             == (tmp_path / "b" / "records.csv").read_bytes())
+
+
+def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n = 64 a BLAS dot product runs on threads and sums in an order set
+    # by their count; the record norms call no BLAS
+    cfg = write_cfg(tmp_path, BASE.replace("n = 32", "n = 64")
+                    .replace("t_end = 0.05", "t_end = 0.017")
+                    .replace("record_every = 5", "record_every = 1"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    records = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas_{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "vbgk.cli", "run", "--config", cfg,
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        records.append((out / "records.csv").read_bytes())
+    assert len(records[0].splitlines()) == 1 + 8  # header, t = 0 and 7 steps
+    assert records[0] == records[1]
 
 
 def test_run_writes_snapshots(tmp_path):

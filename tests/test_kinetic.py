@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from vbgk.diagnostics import compute_record, pressure_test_functions
 from vbgk.errors import BlowupDetected, CflViolation, ConstraintViolation, NonPositiveDensity
 from vbgk.grid import Grid, l2_norm
 from vbgk.kinetic import (
@@ -18,7 +19,7 @@ from vbgk.kinetic import (
     transport_step,
 )
 from vbgk.model import KineticState, initial_kinetic_state, make_params, maxwellians
-from vbgk.navier_stokes import taylor_green
+from vbgk.navier_stokes import taylor_green, taylor_green_velocity
 
 from conftest import random_field
 
@@ -244,6 +245,61 @@ def test_run_record_callback_cadence(grid32, params_default):
     assert times[-1] == pytest.approx(0.05, rel=1e-9)
     _, expected = step_times(cfg, params_default, grid32.dx)
     assert list(times) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "upwind"])
+def test_steps_and_records_between_steps_share_the_grid_scratch(mode):
+    # the stepper's kernels and compute_record fill one scratch per grid, so
+    # steps and records of another state of the grid, made before and after
+    # each record, change neither the run's records nor its final state
+    g = Grid(32)
+    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+    u_ref, p_ref = taylor_green_velocity(g, 0.0, p.nu)
+    phis = pressure_test_functions(g)
+    st0 = taylor_green_state(g, p)
+    other = random_state(g, p, 5)
+    cfg = SolverConfig(t_end=0.05, transport_mode=mode, record_every=3)
+
+    def meddle():
+        compute_record(strang_step(other, 1e-3, mode), u_ref, p_ref, phis, 1.0, 0.0)
+
+    def records(interleave):
+        out = []
+
+        def on_record(t, state, step):
+            if interleave:
+                meddle()
+            out.append(compute_record(state, u_ref, p_ref, phis, 1.0, t))
+            if interleave:
+                meddle()
+
+        return out, run(st0, cfg, on_record)
+
+    plain, plain_final = records(False)
+    mixed, mixed_final = records(True)
+    assert len(plain) == 5 and mixed == plain
+    assert np.array_equal(mixed_final.f, plain_final.f)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "upwind"])
+def test_run_allocates_only_its_state_moments_and_record_copy(mode):
+    # once the grid's scratch exists, a run allocates its copy of f, the
+    # moments w and the copy of f made after each record; the kernels'
+    # flux and transform buffers are the scratch's
+    g = Grid(32)
+    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+    st0 = taylor_green_state(g, p)
+    cfg = SolverConfig(t_end=0.02, transport_mode=mode, record_every=2)
+    run(st0, cfg, on_record=lambda t, s, step: None)
+    tracemalloc.start()
+    try:
+        run(st0, cfg, on_record=lambda t, s, step: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state_bytes = st0.f.nbytes
+    # f and its copy, w (a fifth of f), and room for small objects
+    assert peak < 2 * state_bytes + state_bytes // 5 + 16 * 1024
 
 
 def test_time_grid_partial_final_step():

@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ["boundedness_demo.py", "--n", "8", "--t-end", "0.01"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # from a plain checkout: each script finds src/ itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
