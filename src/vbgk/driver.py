@@ -48,9 +48,11 @@ sweep_upwind members pickle to 2.3-14.4 KB, about 170 B per record, so
 unread outputs fill ``PIPE_BYTES`` and block it only after ~6000 records.
 
 The one LAPACK call, ``polyfit`` in the rate fits, stays in the parent after
-the join; children run transforms, elementwise numpy code and einsum sums
-only, none of which uses the BLAS threads that numpy may have started in the parent and
-that the fork does not copy.  The parent writes every file in member order,
+the join.  Children run transforms, elementwise numpy code, einsum sums and,
+at n <= 64, the spectral transport's gemm, which OpenBLAS runs on the calling
+thread at that size (``kinetic.SHIFT_MATRIX_MAX_CUBE``); none of these uses
+the BLAS threads that numpy may have started in the parent and that the fork
+does not copy.  The parent writes every file in member order,
 so the files do not depend on k; with k = 1 no member forks.  Sweep members
 capture no snapshots, which a sweep never writes.  A file-data member forks
 its own reference as well: in a 4-member n = 64 sweep on 2 vCPU, that was

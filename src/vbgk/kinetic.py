@@ -36,12 +36,19 @@ loop.  So no state handed out is written to afterwards, and the copy is not
 alive while the callback computes its diagnostics.
 
 Transport moves f_1 and f_3 along x and f_2 and f_4 along y, and f_5 not at
-all.  Spectral transport therefore needs no 2D transform: each mover takes
-one real 1D transform along its axis of motion, a phase multiplier and one
-inverse transform, written into the scratch and back into f.  The inverse
-real transform keeps only the real part of the Nyquist coefficient, so the
-multiplier there is cos(k s), the same as taking the real part of a complex
-inverse transform.
+all, so spectral transport is a 1D operator along each mover's axis of
+motion: the rfft multiplier exp(-i k s) of a shift by s, conjugated for
+negative speed.  The inverse real transform keeps only the real part of the
+Nyquist coefficient, so the multiplier there is cos(k s), the same as taking
+the real part of a complex inverse transform.  Up to n = 64
+(``SHIFT_MATRIX_MAX_CUBE``) the operator is a real n-by-n matrix M, made
+once per (n, s) by applying the multiplier to the identity, and each mover
+is one matrix product into the scratch: M.T @ f_i along x, f_i @ M along y,
+and M(-s) = M(s).T for negative speed.  Each plane moves relative to its
+first entry, so a uniform plane, and with it a uniform equilibrium, stays
+exactly unchanged.  At n = 64 the product takes half the time of the
+transforms.  Above n = 64 each mover takes one real 1D transform along its
+axis, the multiplier and one inverse transform, through the scratch.
 
 At dt = c * tau*eps^2 the commutator is not small in eps: the linearized
 cycle relaxes like the continuous model with tau replaced by
@@ -56,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,10 +135,46 @@ class _Workspace:
         return KineticState(grid=self.grid, params=self.params, f=self.f)
 
 
+#: largest n^3 at which spectral transport is a shift-matrix product.  OpenBLAS
+#: runs a dgemm on the calling thread while m*n*k <= 65536 *
+#: GEMM_MULTITHREAD_THRESHOLD (4 by default), and one n-by-n plane at n = 64 is
+#: exactly 2^18.  Above it the product would start BLAS threads, which
+#: spin-wait: on 2 vCPU, a 4-member spectral sweep at n = 128 with the product
+#: took 1.4-14.9 s unpinned against 0.50-0.56 s with OPENBLAS_NUM_THREADS=1.
+#: Single-threaded, the FFT kernel wins again above n of about 160.  The limit
+#: is unverified on MKL and Accelerate builds of numpy.
+SHIFT_MATRIX_MAX_CUBE = 2 ** 18
+
+
+def _shift_phase(n: int, s: float) -> np.ndarray:
+    """exp(-i k s) for k = 0..n/2: the rfft multiplier of a shift by +s."""
+    return np.exp(-1j * s * np.arange(n // 2 + 1))
+
+
+@lru_cache(maxsize=4)
+def _shift_matrix(n: int, s: float) -> np.ndarray:
+    """M with v @ M the spectral shift of a row v by +s; M(-s) = M(s).T.
+
+    Row j is the shift of the unit vector e_j, made by the multiplier of the
+    FFT kernel, so both kernels apply one operator.
+    """
+    arr = np.fft.irfft(np.fft.rfft(np.eye(n)) * _shift_phase(n, s), n=n)
+    arr.setflags(write=False)
+    return arr
+
+
 def _transport_spectral(ws: _Workspace, dt: float) -> None:
     n, p = ws.grid.n, ws.params
     s = p.lam * dt / p.epsilon
-    shift = np.exp(-1j * s * np.arange(n // 2 + 1))
+    if n ** 3 <= SHIFT_MATRIX_MAX_CUBE:
+        _transport_matmul(ws, n, s)
+    else:
+        _transport_fft(ws, n, s)
+
+
+def _transport_fft(ws: _Workspace, n: int, s: float) -> None:
+    """Spectral transport as one real 1D transform pair per mover along its axis."""
+    shift = _shift_phase(n, s)
     scratch = gridmod.scratch(ws.grid).coeffs
     for f_i, (axis, sign) in zip(ws.f, _MOVERS):
         phase = shift if sign > 0 else shift.conj()
@@ -144,18 +188,51 @@ def _transport_spectral(ws: _Workspace, dt: float) -> None:
         np.fft.irfft(coeffs, n=n, axis=axis, out=f_i)
 
 
+def _transport_matmul(ws: _Workspace, n: int, s: float) -> None:
+    """Spectral transport as one shift-matrix product per mover.
+
+    M.T @ f_i along x and f_i @ M along y.  Each plane is moved relative to
+    its first entry, which is added back on the way out, so a uniform plane
+    stays exactly uniform.
+    """
+    M = _shift_matrix(n, s)
+    moved = gridmod.scratch(ws.grid).field
+    for f_i, (axis, sign) in zip(ws.f, _MOVERS):
+        mat = M if sign > 0 else M.T
+        offsets = [float(plane[0, 0]) for plane in f_i]
+        for plane, r in zip(f_i, offsets):
+            plane -= r
+        if axis == -2:
+            np.matmul(mat.T, f_i, out=moved)
+        else:
+            np.matmul(f_i, mat, out=moved)
+        for plane, out, r in zip(moved, f_i, offsets):
+            np.add(plane, r, out=out)
+
+
 def _transport_upwind(ws: _Workspace, dt: float) -> None:
     cfl = ws.params.lam * dt / (ws.params.epsilon * ws.grid.dx)
     # run() keeps cfl <= TRANSPORT_CFL; transport_step and strang_step take any dt
     if cfl > 1.0 + 1e-12:
         raise CflViolation(f"upwind CFL = {cfl:.4g} exceeds 1")
+    n = ws.grid.n
     shifted = gridmod.scratch(ws.grid).field
+    dst = shifted.reshape(-1)
     for f_i, (axis, sign) in zip(ws.f, _MOVERS):
         # f_i <- (1 - cfl)*f_i + cfl*(f_i rolled by sign along axis): positive
-        # speed takes the backward neighbour
-        src, dst = f_i.swapaxes(axis, -1), shifted.swapaxes(axis, -1)
-        np.multiply(src[..., :-sign], cfl, out=dst[..., sign:])
-        np.multiply(src[..., -sign:], cfl, out=dst[..., :sign])
+        # speed takes the backward neighbour.  The roll is a shift by k of the
+        # flat view, contiguous and so unbuffered, which is right everywhere
+        # but on the line that wraps round the axis of motion; that line is
+        # then written from the other end of the axis.
+        k = sign * (n if axis == -2 else 1)
+        src = f_i.reshape(-1)
+        if k > 0:
+            np.multiply(src[:-k], cfl, out=dst[k:])
+        else:
+            np.multiply(src[-k:], cfl, out=dst[:k])
+        edge = 0 if sign > 0 else -1
+        np.multiply(f_i.swapaxes(axis, -1)[..., edge - sign], cfl,
+                    out=shifted.swapaxes(axis, -1)[..., edge])
         f_i *= 1.0 - cfl
         f_i += shifted
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 from vbgk.diagnostics import compute_record, pressure_test_functions
 from vbgk.errors import BlowupDetected, CflViolation, ConstraintViolation, NonPositiveDensity
+from vbgk import kinetic
 from vbgk.grid import Grid, l2_norm
 from vbgk.kinetic import (
     SolverConfig,
@@ -95,8 +96,9 @@ def reference_spectral_transport(state, dt):
     return np.real(np.fft.ifft2(F, axes=(-2, -1)))
 
 
-@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
 def test_spectral_transport_nyquist_mode(n):
+    # n = 64 and 128 sit on either side of the shift-matrix limit
     # energy in the k = n/2 mode along both axes and a shift between grid points
     g = Grid(n)
     p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
@@ -117,6 +119,51 @@ def test_spectral_transport_nyquist_mode(n):
     assert np.max(np.abs(out[0, 0] - scale * pure[0, 0])) < 1e-13
     assert np.max(np.abs(out[1, 1] - scale * pure[1, 1])) < 1e-13
     assert np.max(np.abs(out[0, 1] - pure[0, 1])) < 1e-13  # constant along x
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_spectral_transport_keeps_uniform_planes_exactly(n):
+    # equilibria are stationary: a uniform plane is moved by no round-off
+    g = Grid(n)
+    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+    f = np.broadcast_to((0.3 + 0.01 * np.arange(15.0)).reshape(5, 3, 1, 1), (5, 3, n, n)).copy()
+    moved = transport_step(KineticState(g, p, f), 0.37 * g.dx * p.epsilon / p.lam)
+    assert np.array_equal(moved.f, f)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_shift_matrix_only_where_gemm_stays_on_the_calling_thread(monkeypatch, n):
+    calls = []
+    matmul = np.matmul
+
+    def counting_matmul(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    g = Grid(n)
+    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+    transport_step(random_state(g, p, 3), 0.37 * g.dx * p.epsilon / p.lam)
+    # one product per mover at n = 64; above, a product would start BLAS threads
+    assert len(calls) == (4 if n ** 3 <= kinetic.SHIFT_MATRIX_MAX_CUBE else 0)
+
+
+@pytest.mark.parametrize("mode, n", [("upwind", 64), ("upwind", 128), ("spectral", 64)])
+def test_transport_kernel_allocates_no_iterator_buffer(mode, n):
+    # a ufunc on a strided operand, or broadcast in place, buffers up to
+    # 8192 elements (64 KiB) per operand on every call
+    g = Grid(n)
+    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+    ws = kinetic._Workspace(random_state(g, p, 4))
+    dt = 0.37 * g.dx * p.epsilon / p.lam
+    kinetic._transport(ws, dt, mode)
+    tracemalloc.start()
+    try:
+        kinetic._transport(ws, dt, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
 
 
 def test_upwind_cfl_violation(grid32, params_default):

@@ -78,11 +78,13 @@ def test_forked_sweep_files_and_output_byte_identical_to_serial(tmp_path, monkey
     out, files = outcomes[1]
     assert len(files) == 6  # study.csv, rates.txt and four records.csv
     if code == 3:
+        # the blow-up grows from round-off, so these figures pin the rounding
+        # of the transport kernel as well as the members that fail
         assert [line for line in out.out.splitlines() if "failed" in line] == [
-            "member run eps=0.05 failed: density must be positive, min = -0.0273249"
+            "member run eps=0.05 failed: density must be positive, min = -0.0273245"
             " (last good time t=1.23)",
-            "member run eps=0.025 failed: density must be positive, min = -0.140374"
-            " (last good time t=0.665)",
+            "member run eps=0.025 failed: density must be positive, min = -0.057131"
+            " (last good time t=0.66625)",
         ]
 
 
