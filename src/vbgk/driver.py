@@ -282,12 +282,13 @@ class ForkedChannel:
 
     def __init__(self, items):
         read_fd, write_fd = os.pipe()
-        try:
-            # at the default 64 KiB an n = 128 record took six round trips, and
-            # vortex_reference waited 2 ms per record in the median, not 0.2 ms
-            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-        except OSError:
-            pass  # over the system's limit: the default pipe only costs time
+        # at the default 64 KiB an n = 128 record took six round trips, and
+        # vortex_reference waited 2 ms per record in the median, not 0.2 ms
+        if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux only
+            try:
+                fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+            except OSError:
+                pass  # over the system's limit: the default pipe only costs time
         try:
             self._pid = os.fork()
         except OSError:
@@ -498,7 +499,10 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
     costs = {eps: cfg.t_end / report.solver.base_dt(report.params, report.grid.dx)
              for eps, (_, report) in members.items()}
     sub_dirs = {eps: make_dir(out_dir / f"eps_{eps:g}") for eps in epsilons}
-    bins = step_bins(costs, min(len(epsilons), len(os.sched_getaffinity(0))))
+    # sched_getaffinity is missing on some platforms, macOS among them
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    bins = step_bins(costs, min(len(epsilons), cpus))
     runs = _run_bins(members, bins)
     failures: dict[float, str] = {}
     for eps in epsilons:

@@ -1,5 +1,9 @@
 """Periodic 2D grid on [0, 2pi)^2 with Fourier transform services.
 
+The package's 1D Fourier multipliers live here, ``spectral_derivative``
+(i k)^order and ``spectral_shift`` exp(-i k s), the kinetic free transport;
+both are one routine: a real 1D transform, a cached table, the inverse.
+
 Conventions used everywhere in the package:
 
 * fields are real ``(n, n)`` arrays; index ``(ix, iy)`` is the point
@@ -106,8 +110,9 @@ class Scratch:
     1.97 MB at n = 128, the size of one kinetic state.  Their users:
 
     * kinetic relaxation: pair holds the Maxwellians' scaled terms;
-    * kinetic transport: coeffs holds one mover's 1D transform, (3, n, n/2+1)
-      along y or (3, n/2+1, n) along x; upwind, field its shifted copy;
+    * kinetic transport: coeffs holds one mover's 1D transform, laid out
+      (3, n, n/2+1) along either axis as in spectral_shift; field the moved
+      mover of the shift-matrix product, or upwind its shifted copy;
     * diagnostics.deviation_norms: pair holds m - A(w)/eps for both
       directions; per direction, field holds k (or h), then its derivative,
       and real k - 2 a w before coeffs takes the transform;
@@ -144,6 +149,35 @@ def _derivative_factor(grid: Grid, order: int) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=8)
+def _shift_factor(grid: Grid, s: float) -> np.ndarray:
+    """exp(-i k s), the shift by s, laid out as _derivative_factor."""
+    arr = np.repeat(np.exp(-1j * s * np.arange(grid.n // 2 + 1))[None, :], grid.n, axis=0)
+    arr.setflags(write=False)
+    return arr
+
+
+def _apply_multiplier(grid: Grid, f: np.ndarray, axis: str, factor: np.ndarray,
+                      out: np.ndarray | None, coeffs: np.ndarray | None) -> np.ndarray:
+    """irfft(factor * rfft(f)) along 'x' or 'y': the one 1D multiplier routine.
+
+    The transform is laid out (..., n, n/2+1), wavenumber last, along either
+    axis (transposed along x), so one full (n, n/2+1) factor serves both and
+    is multiplied plane by plane: no operand is broadcast, and numpy makes no
+    iterator buffer.
+    """
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    f = grid.check_field(f)
+    if coeffs is None:
+        coeffs = np.empty(f.shape[:-1] + factor.shape[-1:], dtype=complex)
+    along = -2 if axis == "x" else -1
+    F = np.fft.rfft(f, axis=along, out=coeffs if axis == "y" else coeffs.swapaxes(-1, -2))
+    for plane in coeffs.reshape((-1,) + factor.shape):
+        plane *= factor
+    return np.fft.irfft(F, n=grid.n, axis=along, out=out)
+
+
 def spectral_derivative(grid: Grid, f: np.ndarray, axis: str, order: int = 1,
                         out: np.ndarray | None = None,
                         coeffs: np.ndarray | None = None) -> np.ndarray:
@@ -155,25 +189,26 @@ def spectral_derivative(grid: Grid, f: np.ndarray, axis: str, order: int = 1,
     of the Nyquist coefficient k = n/2, so odd orders drop that mode and the
     derivative of a real field stays real.
 
-    The transform is laid out (..., n, n/2+1), wavenumber last, along either
-    axis (transposed along x), so one full multiplier table serves both and
-    no operand is broadcast.  out, when given, receives the derivative (the
-    shape of f), and coeffs, when given, the transform: a C-contiguous
-    complex (..., n, n/2+1) buffer, overwritten.
+    out, when given, receives the derivative (the shape of f), and coeffs,
+    when given, the transform: a C-contiguous complex (..., n, n/2+1)
+    buffer, overwritten.
     """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     if order < 1 or int(order) != order:
         raise ValueError(f"derivative order must be a positive integer, got {order}")
-    f = grid.check_field(f)
-    factor = _derivative_factor(grid, int(order))
-    if coeffs is None:
-        coeffs = np.empty(f.shape[:-1] + factor.shape[-1:], dtype=complex)
-    along = -2 if axis == "x" else -1
-    F = np.fft.rfft(f, axis=along, out=coeffs if axis == "y" else coeffs.swapaxes(-1, -2))
-    for plane in coeffs.reshape((-1,) + factor.shape):
-        plane *= factor
-    return np.fft.irfft(F, n=grid.n, axis=along, out=out)
+    return _apply_multiplier(grid, f, axis, _derivative_factor(grid, int(order)), out, coeffs)
+
+
+def spectral_shift(grid: Grid, f: np.ndarray, axis: str, s: float,
+                   out: np.ndarray | None = None,
+                   coeffs: np.ndarray | None = None) -> np.ndarray:
+    """f translated by s along 'x' or 'y', f(x - s), via the multiplier exp(-i k s).
+
+    The inverse real transform keeps only the real part of the Nyquist
+    coefficient, so that mode is scaled by cos(k s), as the real part of a
+    complex inverse would be.  The table is cached per (grid, s); out (which
+    may be f) and coeffs are as for spectral_derivative.
+    """
+    return _apply_multiplier(grid, f, axis, _shift_factor(grid, s), out, coeffs)
 
 
 @lru_cache(maxsize=8)

@@ -20,35 +20,29 @@ the next merge into one call: each step is relaxation(owed + dt/2) then
 transport(dt), and the owed closing relaxation(dt/2) is applied only before
 a recorded state is handed out and at the end of the run.
 
-``run`` allocates one workspace (``_Workspace``) and updates it in place:
-a copy of the state f and its moments w.  Each substep is one in-place
-kernel, ``_relax`` or ``_transport``, whose other buffers are the grid's
-scratch (``grid.Scratch``), shared with the diagnostics records.
-Relaxation scales f by the decay factor and adds (1 - decay) * M_i(w)
-through ``model.add_maxwellians``, without building the (5, 3, n, n)
-Maxwellian stack.  ``relaxation_step`` and ``transport_step`` copy their
-input into a fresh workspace and call the same kernels, so each substep has
-one implementation; a transport-only workspace holds no moments.  One copy
-per record:
-on_record receives the workspace's state buffer itself, and once it returns
-the loop continues on a copy, the only full-state allocation inside the
-loop.  So no state handed out is written to afterwards, and the copy is not
-alive while the callback computes its diagnostics.
+Each substep is one kernel, ``_relax`` or ``_transport``, that updates the
+f of a ``KineticState`` in place; its other buffers are the grid's scratch
+(``grid.Scratch``), shared with the diagnostics records.  ``run``,
+``relaxation_step`` and ``transport_step`` each copy their input state once
+and call the same kernels, so each substep has one implementation.
+Relaxation takes the moments w, which its caller sums, scales f by the
+decay factor and adds (1 - decay) * M_i(w) through ``model.add_maxwellians``,
+without building the (5, 3, n, n) Maxwellian stack.  One copy per record:
+on_record receives the stepped state itself, and once it returns the loop
+continues on a copy, the only full-state allocation inside the loop.  So no
+state handed out is written to afterwards, and the copy is not alive while
+the callback computes its diagnostics.
 
 Transport moves f_1 and f_3 along x and f_2 and f_4 along y, and f_5 not at
-all, so spectral transport is a 1D operator along each mover's axis of
-motion: the rfft multiplier exp(-i k s) of a shift by s, conjugated for
-negative speed.  The inverse real transform keeps only the real part of the
-Nyquist coefficient, so the multiplier there is cos(k s), the same as taking
-the real part of a complex inverse transform.  Up to n = 64
-(``SHIFT_MATRIX_MAX_CUBE``) the operator is a real n-by-n matrix M, made
-once per (n, s) by applying the multiplier to the identity, and each mover
-is one matrix product into the scratch: M.T @ f_i along x, f_i @ M along y,
-and M(-s) = M(s).T for negative speed.  Each plane moves relative to its
-first entry, so a uniform plane, and with it a uniform equilibrium, stays
-exactly unchanged.  At n = 64 the product takes half the time of the
-transforms.  Above n = 64 each mover takes one real 1D transform along its
-axis, the multiplier and one inverse transform, through the scratch.
+all, so spectral transport is a 1D shift along each mover's axis of motion:
+``grid.spectral_shift`` by s, or by -s for negative speed.  Up to n = 64
+(``SHIFT_MATRIX_MAX_CUBE``) the shift is a real n-by-n matrix M, made once
+per (grid, s) by shifting the identity, and each mover is one matrix product
+into the scratch: M.T @ f_i along x, f_i @ M along y, and M(-s) = M(s).T
+for negative speed.  Each plane is moved relative to its first entry, so a
+uniform plane, and with it a uniform equilibrium, stays exactly unchanged.
+At n = 64 the product takes half the time of the transforms.  Above n = 64
+each mover is one ``spectral_shift`` through the scratch's transform buffer.
 
 At dt = c * tau*eps^2 the commutator is not small in eps: the linearized
 cycle relaxes like the continuous model with tau replaced by
@@ -62,7 +56,7 @@ c * tau*eps^2 unless the transport bound of ``SolverConfig`` is smaller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -119,22 +113,6 @@ class SolverConfig:
 _MOVERS = [(-2 if dx else -1, dx + dy) for dx, dy in VELOCITY_DIRECTIONS[:4].astype(int)]
 
 
-class _Workspace:
-    """The state f of one run, updated in place by the kernels below.
-
-    Relaxation reads w = sum_i f_i, which the caller sums before the first
-    relaxation and again after each transport; relaxation conserves it.
-    """
-
-    def __init__(self, state: KineticState):
-        self.grid, self.params = state.grid, state.params
-        self.f = state.f.copy()
-        self.w = None
-
-    def state(self) -> KineticState:
-        return KineticState(grid=self.grid, params=self.params, f=self.f)
-
-
 #: largest n^3 at which spectral transport is a shift-matrix product.  OpenBLAS
 #: runs a dgemm on the calling thread while m*n*k <= 65536 *
 #: GEMM_MULTITHREAD_THRESHOLD (4 by default), and one n-by-n plane at n = 64 is
@@ -146,58 +124,38 @@ class _Workspace:
 SHIFT_MATRIX_MAX_CUBE = 2 ** 18
 
 
-def _shift_phase(n: int, s: float) -> np.ndarray:
-    """exp(-i k s) for k = 0..n/2: the rfft multiplier of a shift by +s."""
-    return np.exp(-1j * s * np.arange(n // 2 + 1))
-
-
 @lru_cache(maxsize=4)
-def _shift_matrix(n: int, s: float) -> np.ndarray:
+def _shift_matrix(grid: gridmod.Grid, s: float) -> np.ndarray:
     """M with v @ M the spectral shift of a row v by +s; M(-s) = M(s).T.
 
-    Row j is the shift of the unit vector e_j, made by the multiplier of the
-    FFT kernel, so both kernels apply one operator.
+    Row j is the shift of the unit vector e_j by ``grid.spectral_shift``, so
+    both spectral kernels apply one operator.
     """
-    arr = np.fft.irfft(np.fft.rfft(np.eye(n)) * _shift_phase(n, s), n=n)
+    arr = gridmod.spectral_shift(grid, np.eye(grid.n), "y", s)
     arr.setflags(write=False)
     return arr
 
 
-def _transport_spectral(ws: _Workspace, dt: float) -> None:
-    n, p = ws.grid.n, ws.params
-    s = p.lam * dt / p.epsilon
-    if n ** 3 <= SHIFT_MATRIX_MAX_CUBE:
-        _transport_matmul(ws, n, s)
-    else:
-        _transport_fft(ws, n, s)
+def _transport_spectral(st: KineticState, dt: float) -> None:
+    s = st.params.lam * dt / st.params.epsilon
+    if st.grid.n ** 3 <= SHIFT_MATRIX_MAX_CUBE:
+        _transport_matmul(st, s)
+        return
+    coeffs = gridmod.scratch(st.grid).coeffs
+    for f_i, (axis, sign) in zip(st.f, _MOVERS):
+        gridmod.spectral_shift(st.grid, f_i, "xy"[axis], sign * s, out=f_i, coeffs=coeffs)
 
 
-def _transport_fft(ws: _Workspace, n: int, s: float) -> None:
-    """Spectral transport as one real 1D transform pair per mover along its axis."""
-    shift = _shift_phase(n, s)
-    scratch = gridmod.scratch(ws.grid).coeffs
-    for f_i, (axis, sign) in zip(ws.f, _MOVERS):
-        phase = shift if sign > 0 else shift.conj()
-        if axis == -2:
-            coeffs = scratch.reshape(3, n // 2 + 1, n)
-            phase = phase[:, None]
-        else:
-            coeffs = scratch
-        np.fft.rfft(f_i, axis=axis, out=coeffs)
-        coeffs *= phase
-        np.fft.irfft(coeffs, n=n, axis=axis, out=f_i)
-
-
-def _transport_matmul(ws: _Workspace, n: int, s: float) -> None:
+def _transport_matmul(st: KineticState, s: float) -> None:
     """Spectral transport as one shift-matrix product per mover.
 
     M.T @ f_i along x and f_i @ M along y.  Each plane is moved relative to
     its first entry, which is added back on the way out, so a uniform plane
     stays exactly uniform.
     """
-    M = _shift_matrix(n, s)
-    moved = gridmod.scratch(ws.grid).field
-    for f_i, (axis, sign) in zip(ws.f, _MOVERS):
+    M = _shift_matrix(st.grid, s)
+    moved = gridmod.scratch(st.grid).field
+    for f_i, (axis, sign) in zip(st.f, _MOVERS):
         mat = M if sign > 0 else M.T
         offsets = [float(plane[0, 0]) for plane in f_i]
         for plane, r in zip(f_i, offsets):
@@ -210,15 +168,15 @@ def _transport_matmul(ws: _Workspace, n: int, s: float) -> None:
             np.add(plane, r, out=out)
 
 
-def _transport_upwind(ws: _Workspace, dt: float) -> None:
-    cfl = ws.params.lam * dt / (ws.params.epsilon * ws.grid.dx)
+def _transport_upwind(st: KineticState, dt: float) -> None:
+    cfl = st.params.lam * dt / (st.params.epsilon * st.grid.dx)
     # run() keeps cfl <= TRANSPORT_CFL; transport_step and strang_step take any dt
     if cfl > 1.0 + 1e-12:
         raise CflViolation(f"upwind CFL = {cfl:.4g} exceeds 1")
-    n = ws.grid.n
-    shifted = gridmod.scratch(ws.grid).field
+    n = st.grid.n
+    shifted = gridmod.scratch(st.grid).field
     dst = shifted.reshape(-1)
-    for f_i, (axis, sign) in zip(ws.f, _MOVERS):
+    for f_i, (axis, sign) in zip(st.f, _MOVERS):
         # f_i <- (1 - cfl)*f_i + cfl*(f_i rolled by sign along axis): positive
         # speed takes the backward neighbour.  The roll is a shift by k of the
         # flat view, contiguous and so unbuffered, which is right everywhere
@@ -237,11 +195,11 @@ def _transport_upwind(ws: _Workspace, dt: float) -> None:
         f_i += shifted
 
 
-def _transport(ws: _Workspace, dt: float, mode: str) -> None:
+def _transport(st: KineticState, dt: float, mode: str) -> None:
     if mode == "spectral":
-        _transport_spectral(ws, dt)
+        _transport_spectral(st, dt)
     elif mode == "upwind":
-        _transport_upwind(ws, dt)
+        _transport_upwind(st, dt)
     else:
         raise ValueError(f"unknown transport mode {mode!r}")
 
@@ -251,29 +209,29 @@ def relaxation_decay(h: float, params) -> float:
     return np.exp(-h / params.relaxation_time)
 
 
-def _relax(ws: _Workspace, dt: float) -> None:
-    """Relax ws.f over dt toward the Maxwellians of ws.w, whose density the caller checked."""
-    decay = relaxation_decay(dt, ws.params)
-    ws.f *= decay
-    add_maxwellians(ws.f, ws.w, 1.0 - decay, ws.params, gridmod.scratch(ws.grid).pair)
+def _relax(st: KineticState, w: np.ndarray, dt: float) -> None:
+    """Relax st.f over dt toward the Maxwellians of w, whose density the caller checked."""
+    decay = relaxation_decay(dt, st.params)
+    np.multiply(st.f, decay, out=st.f)
+    add_maxwellians(st.f, w, 1.0 - decay, st.params, gridmod.scratch(st.grid).pair)
 
 
 def transport_step(state: KineticState, dt: float, mode: str = "spectral") -> KineticState:
     """Advect each density along its velocity for time dt; f_5 is at rest."""
     if dt == 0.0:
         return state
-    ws = _Workspace(state)
-    _transport(ws, dt, mode)
-    return ws.state()
+    st = replace(state, f=state.f.copy())
+    _transport(st, dt, mode)
+    return st
 
 
 def relaxation_step(state: KineticState, dt: float) -> KineticState:
     """Exact relaxation toward the local Maxwellians over time dt."""
-    ws = _Workspace(state)
-    ws.w = ws.f.sum(axis=0)
-    check_density(ws.w[0])
-    _relax(ws, dt)
-    return ws.state()
+    st = replace(state, f=state.f.copy())
+    w = st.w()
+    check_density(w[0])
+    _relax(st, w, dt)
+    return st
 
 
 def strang_step(state: KineticState, dt: float, mode: str = "spectral") -> KineticState:
@@ -333,29 +291,29 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
     record and no kernel reads a faulty state; relaxation conserves w, so it
     needs no check of its own.
     """
-    ws = _Workspace(state)
-    ws.w = ws.f.sum(axis=0)
-    _check_health(ws.w, 0.0)
+    st = replace(state, f=state.f.copy())
+    w = st.w()
+    _check_health(w, 0.0)
     if on_record is not None:
         on_record(0.0, state, 0)
     t_prev = 0.0
     step = 0
     owed = 0.0  # closing half-relaxation deferred from the previous step
     for step, t, dt, is_record in _time_grid(cfg, cfg.base_dt(state.params, state.grid.dx)):
-        _relax(ws, owed + 0.5 * dt)
-        _transport(ws, dt, cfg.transport_mode)
-        np.sum(ws.f, axis=0, out=ws.w)
-        _check_health(ws.w, t_prev)
+        _relax(st, w, owed + 0.5 * dt)
+        _transport(st, dt, cfg.transport_mode)
+        np.sum(st.f, axis=0, out=w)
+        _check_health(w, t_prev)
         owed = 0.5 * dt
         if is_record:
-            _relax(ws, owed)
+            _relax(st, w, owed)
             owed = 0.0
             if on_record is not None:
-                on_record(t, ws.state(), step)
+                on_record(t, st, step)
                 # the state handed out is never written again: step a copy of it
-                ws.f = ws.f.copy()
+                st = replace(st, f=st.f.copy())
         t_prev = t
-    return state if step == 0 else ws.state()
+    return state if step == 0 else st
 
 
 def record_times(cfg: SolverConfig, params, dx: float) -> list[float]:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vbgk.errors import DimensionMismatch
-from vbgk.grid import Grid, l2_norm, linf_norm, sobolev_norm, spectral_derivative
+from vbgk.grid import (Grid, l2_norm, linf_norm, sobolev_norm, spectral_derivative,
+                       spectral_shift)
 
 from conftest import random_field
 
@@ -58,21 +59,42 @@ def test_derivative_rejects_bad_args(grid32):
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, "shift"])
 def test_derivative_of_stack_matches_2d_transform(axis, order):
-    # the (i k)^order multiplier applied to the full 2D transform, per field
+    # the (i k)^order multiplier, or exp(-i k s) of spectral_shift, applied to
+    # the full 2D transform, per field
     g = Grid(16)
     f = np.stack([random_field(60 + c, 16, amplitude=1.0 + c) for c in range(3)])
     f += np.cos(8 * (g.x if axis == "x" else g.y))  # a Nyquist line
     k = g.k1d.copy()
-    if order % 2 == 1:
-        k[8] = 0.0
-    factor = (1j * k) ** order
+    if order == "shift":
+        s = 0.37 * g.dx
+        factor = np.exp(-1j * k * s)
+        got = spectral_shift(g, f, axis, s)
+    else:
+        if order % 2 == 1:
+            k[8] = 0.0
+        factor = (1j * k) ** order
+        got = spectral_derivative(g, f, axis, order)
     factor = factor[:, None] if axis == "x" else factor[None, :]
     want = np.real(np.fft.ifft2(np.fft.fft2(f) * factor))
-    got = spectral_derivative(g, f, axis, order)
     assert got.shape == f.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_shift_by_grid_points_is_a_roll_and_minus_s_undoes_s(axis):
+    g = Grid(32)
+    f = np.stack([random_field(80 + c, 32) for c in range(3)])
+    along = -2 if axis == "x" else -1
+    # exp(-i k m dx) is +-1 at the Nyquist wavenumber, so that line rolls too
+    nyquist = f + np.cos(16 * (g.x if axis == "x" else g.y))
+    for m in (1, 5, -3):
+        rolled = spectral_shift(g, nyquist, axis, m * g.dx)
+        assert np.max(np.abs(rolled - np.roll(nyquist, m, axis=along))) < 1e-13
+    s = 0.37 * g.dx
+    back = spectral_shift(g, spectral_shift(g, f, axis, s), axis, -s)
+    assert np.max(np.abs(back - f)) < 1e-13
 
 
 def test_norm_of_constant(grid32):

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,22 +150,33 @@ def test_shift_matrix_only_where_gemm_stays_on_the_calling_thread(monkeypatch, n
     assert len(calls) == (4 if n ** 3 <= kinetic.SHIFT_MATRIX_MAX_CUBE else 0)
 
 
-@pytest.mark.parametrize("mode, n", [("upwind", 64), ("upwind", 128), ("spectral", 64)])
+@pytest.mark.parametrize("mode, n", [("upwind", 64), ("upwind", 128), ("spectral", 64),
+                                     ("spectral", 128)])
 def test_transport_kernel_allocates_no_iterator_buffer(mode, n):
     # a ufunc on a strided operand, or broadcast in place, buffers up to
     # 8192 elements (64 KiB) per operand on every call
     g = Grid(n)
     p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
-    ws = kinetic._Workspace(random_state(g, p, 4))
+    state = random_state(g, p, 4)
     dt = 0.37 * g.dx * p.epsilon / p.lam
-    kinetic._transport(ws, dt, mode)
+    kinetic._transport(state, dt, mode)
     tracemalloc.start()
     try:
-        kinetic._transport(ws, dt, mode)
+        kinetic._transport(state, dt, mode)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 1024
+
+
+def test_kinetic_applies_no_fourier_multiplier_of_its_own():
+    # spectral transport goes through grid.spectral_shift, the one routine for
+    # 1D multipliers; any np.fft / numpy.fft use here would be a second one
+    tree = ast.parse(Path(kinetic.__file__).read_text())
+    uses = [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "fft"
+            or isinstance(node, (ast.Import, ast.ImportFrom)) and "fft" in ast.unparse(node)]
+    assert uses == []
 
 
 def test_upwind_cfl_violation(grid32, params_default):

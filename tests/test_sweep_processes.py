@@ -4,6 +4,7 @@ Patching os.sched_getaffinity sets how many processes a sweep uses: one CPU
 gives the serial sweep every forked one is compared with.
 """
 
+import fcntl
 import os
 import pickle
 
@@ -57,6 +58,29 @@ def blowup_sweep(tmp_path):
 def sweep_files(out):
     return {str(path.relative_to(out)): path.read_bytes()
             for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("module, name", [(fcntl, "F_SETPIPE_SZ"), (os, "sched_getaffinity")],
+                         ids=["F_SETPIPE_SZ", "sched_getaffinity"])
+def test_run_and_sweep_without_a_linux_only_call_write_the_same_files(tmp_path, monkeypatch,
+                                                                       module, name):
+    # both exist only on Linux (sched_getaffinity on a few other systems):
+    # without them the pipe keeps its default size, and a sweep takes
+    # os.cpu_count() processes; file data forks in a run and in a sweep
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(file_data_sweep(tmp_path))
+    files = {}
+    for missing in (False, True):
+        if missing:
+            monkeypatch.delattr(module, name)
+        work = tmp_path / f"missing_{missing}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["run", "--config", str(cfg), "--out", "run"]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", "sw"]) == 0
+        files[missing] = sweep_files(work)
+    assert len(files[False]) > 6
+    assert files[True] == files[False]
 
 
 @pytest.mark.parametrize("make_config, code", [
