@@ -52,11 +52,11 @@ the join.  Children run transforms, elementwise numpy code, einsum sums and,
 at n <= 64, the spectral transport's gemm, which OpenBLAS runs on the calling
 thread at that size (``kinetic.SHIFT_MATRIX_MAX_CUBE``); none of these uses
 the BLAS threads that numpy may have started in the parent and that the fork
-does not copy.  The parent writes every file in member order,
-so the files do not depend on k; with k = 1 no member forks.  Sweep members
-capture no snapshots, which a sweep never writes.  A file-data member forks
-its own reference as well: in a 4-member n = 64 sweep on 2 vCPU, that was
-faster than an in-process reference inside a member process in 11 of 12
+does not copy.  The parent writes every file in member order, so the files
+do not depend on k; with k = 1 no member forks.  A sweep writes no
+snapshots: its members run without an output directory.  A file-data member
+forks its own reference as well: in a 4-member n = 64 sweep on 2 vCPU, that
+was faster than an in-process reference inside a member process in 11 of 12
 alternating pairs.
 """
 
@@ -363,7 +363,6 @@ def _reference_records(reference: ReferenceTrajectory, times):
 class SimulationOutput:
     records: list[diag.DiagnosticsRecord]
     error: Exception | None
-    snapshots: dict[float, model.KineticState]
 
     @property
     def completed(self) -> bool:
@@ -377,16 +376,17 @@ class SimulationOutput:
         return abs(float(np.mean([r.pairing_error[phi] for r in self.records])))
 
 
-def run_simulation(cfg: RunConfig,
-                   report: ValidationReport | None = None) -> SimulationOutput:
+def run_simulation(cfg: RunConfig, report: ValidationReport | None = None,
+                   out_dir: Path | None = None) -> SimulationOutput:
     """Validated kinetic run with per-record diagnostics.
 
     report is `validated(cfg)` when the caller has already made it.  On
     blow-up the partial records collected so far are kept and the exception
-    is stored on the output instead of propagating.  States at the first
-    record time at or after each configured snapshot time are captured, and
-    the last record takes every snapshot time not yet reached; times that one
-    record takes share its snapshot, with a warning on stderr.
+    is stored on the output instead of propagating.  With out_dir, the first
+    record at or after each configured snapshot time writes the state to a
+    snapshot file there, and the last record takes every snapshot time not
+    yet reached; times that one record takes share its file, with a warning
+    on stderr.  A write failure ends the run with its ConfigError.
     The reference records come from _reference_records, stepped by a forked
     child (ForkedChannel) on any data but Taylor-Green; the child is reaped
     before this returns or raises.
@@ -403,8 +403,8 @@ def run_simulation(cfg: RunConfig,
         refs = ForkedChannel(refs)
 
     records: list[diag.DiagnosticsRecord] = []
-    captured: dict[float, model.KineticState] = {}
-    pending = sorted(cfg.snapshot_times)
+    pending = sorted(cfg.snapshot_times) if out_dir is not None else []
+    names = (out_dir / f"snapshot_{i:03d}.vbgk" for i in range(len(pending)))
 
     def on_record(t, state, step):
         k = len(records)
@@ -416,16 +416,18 @@ def run_simulation(cfg: RunConfig,
         if t_ref != t:
             raise RuntimeError(f"reference record {k} is at t = {t_ref!r}, not t = {t!r}")
         records.append(diag.compute_record(state, u_ref, p_ref, phis, cfg.s_prime, t))
-        # snapshots keyed by the actual record time reached; the run ends within
+        # snapshots stamped with the actual record time reached; the run ends within
         # 1e-12 * max(1, t_end) of t_end, so the last record takes every time left
         taken = []
         while pending and (t >= pending[0] - 1e-12 or len(records) == len(times)):
             taken.append(pending.pop(0))
-            captured[t] = state
         if len(taken) > 1:
             print(f"warning: snapshot times {', '.join(f'{s:g}' for s in taken)} all fall"
                   f" on the record at t = {t!r}; one snapshot file holds them",
                   file=sys.stderr)
+        if taken:
+            # state is the stepper's own: written now, before the run steps it on
+            snapshots.write_snapshot(next(names), state.f.reshape(15, grid.n, grid.n), t)
 
     error = None
     try:
@@ -435,11 +437,7 @@ def run_simulation(cfg: RunConfig,
         error = exc.with_traceback(None)
     finally:
         refs.close()
-    return SimulationOutput(
-        records=records,
-        error=error,
-        snapshots=captured,
-    )
+    return SimulationOutput(records=records, error=error)
 
 
 def write_records_csv(records, path) -> None:
@@ -450,16 +448,10 @@ def write_records_csv(records, path) -> None:
 
 
 def run_to_files(cfg: RunConfig, out_dir) -> SimulationOutput:
-    """cmd_run body: records.csv plus optional snapshots at requested times."""
+    """cmd_run body: the run, which writes the snapshots, then records.csv."""
     out_dir = make_dir(out_dir)
-    output = run_simulation(cfg)
+    output = run_simulation(cfg, out_dir=out_dir)
     write_records_csv(output.records, out_dir / "records.csv")
-    for i, (t, state) in enumerate(sorted(output.snapshots.items())):
-        snapshots.write_snapshot(
-            out_dir / f"snapshot_{i:03d}.vbgk",
-            state.f.reshape(15, cfg.n, cfg.n),
-            t,
-        )
     return output
 
 
@@ -491,9 +483,7 @@ def run_sweep(cfg: RunConfig, epsilons, out_dir) -> SweepOutput:
                               f" {Path(out_dir) / f'eps_{small:g}'}")
     out_dir = make_dir(out_dir)
 
-    # the sweep writes no snapshots, so its members capture none
-    configs = {eps: dataclasses.replace(cfg, epsilon=eps, snapshot_times=())
-               for eps in epsilons}
+    configs = {eps: dataclasses.replace(cfg, epsilon=eps) for eps in epsilons}
     # every member is checked before any member runs
     members = {eps: (sub, validated(sub)) for eps, sub in configs.items()}
     costs = {eps: cfg.t_end / report.solver.base_dt(report.params, report.grid.dx)

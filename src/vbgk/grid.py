@@ -149,10 +149,15 @@ def _derivative_factor(grid: Grid, order: int) -> np.ndarray:
     return arr
 
 
+def _shift_table(grid: Grid, s: float) -> np.ndarray:
+    """exp(-i k s), the shift by s, laid out as _derivative_factor."""
+    return np.repeat(np.exp(-1j * s * np.arange(grid.n // 2 + 1))[None, :], grid.n, axis=0)
+
+
 @lru_cache(maxsize=8)
 def _shift_factor(grid: Grid, s: float) -> np.ndarray:
-    """exp(-i k s), the shift by s, laid out as _derivative_factor."""
-    arr = np.repeat(np.exp(-1j * s * np.arange(grid.n // 2 + 1))[None, :], grid.n, axis=0)
+    """_shift_table, cached for spectral_shift."""
+    arr = _shift_table(grid, s)
     arr.setflags(write=False)
     return arr
 

@@ -27,11 +27,10 @@ f of a ``KineticState`` in place; its other buffers are the grid's scratch
 and call the same kernels, so each substep has one implementation.
 Relaxation takes the moments w, which its caller sums, scales f by the
 decay factor and adds (1 - decay) * M_i(w) through ``model.add_maxwellians``,
-without building the (5, 3, n, n) Maxwellian stack.  One copy per record:
-on_record receives the stepped state itself, and once it returns the loop
-continues on a copy, the only full-state allocation inside the loop.  So no
-state handed out is written to afterwards, and the copy is not alive while
-the callback computes its diagnostics.
+without building the (5, 3, n, n) Maxwellian stack.  One state per run:
+``run`` copies its input once and steps that copy to the end, and on_record
+receives it itself, valid until the callback returns.  So the loop allocates
+nothing of state size, and a caller that keeps a recorded state copies it.
 
 Transport moves f_1 and f_3 along x and f_2 and f_4 along y, and f_5 not at
 all, so spectral transport is a 1D shift along each mover's axis of motion:
@@ -128,10 +127,12 @@ SHIFT_MATRIX_MAX_CUBE = 2 ** 18
 def _shift_matrix(grid: gridmod.Grid, s: float) -> np.ndarray:
     """M with v @ M the spectral shift of a row v by +s; M(-s) = M(s).T.
 
-    Row j is the shift of the unit vector e_j by ``grid.spectral_shift``, so
-    both spectral kernels apply one operator.
+    Row j is the shift of the unit vector e_j by the multiplier routine of
+    ``grid.spectral_shift``, so both spectral kernels apply one operator.
+    The table is built uncached: this build is its only reader.
     """
-    arr = gridmod.spectral_shift(grid, np.eye(grid.n), "y", s)
+    table = gridmod._shift_table(grid, s)
+    arr = gridmod._apply_multiplier(grid, np.eye(grid.n), "y", table, None, None)
     arr.setflags(write=False)
     return arr
 
@@ -282,8 +283,10 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
 
     Aborts with BlowupDetected on NaN or inf, or on loss of density
     positivity.  on_record(t, state, step_index) fires on the initial state,
-    every cfg.record_every-th step, and on the final step.  Neither the input
-    state nor any state handed to on_record is modified afterwards.
+    every cfg.record_every-th step, and on the final step.  The state it
+    receives is the input at t = 0 and the stepper's own after that, valid
+    until on_record returns: a caller that keeps it must copy it.  The input
+    state is never modified.
 
     The result equals a loop of strang_step up to round-off; the merged
     half-relaxations are described in the module docstring.  The input is
@@ -310,8 +313,6 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
             owed = 0.0
             if on_record is not None:
                 on_record(t, st, step)
-                # the state handed out is never written again: step a copy of it
-                st = replace(st, f=st.f.copy())
         t_prev = t
     return state if step == 0 else st
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vbgk import driver, kinetic, navier_stokes, snapshots
+from vbgk import diagnostics, driver, kinetic, navier_stokes, snapshots
 from vbgk import grid as gridmod
 from vbgk.cli import main
 from vbgk.config import parse_config_text
@@ -180,6 +180,28 @@ def test_run_writes_snapshots(tmp_path):
     fields, t = read_snapshot(snaps[0])
     assert fields.shape == (15, 32, 32)
     assert t == 0.0
+
+
+def test_snapshot_files_hold_the_state_at_their_record(tmp_path, monkeypatch, capsys):
+    # records at 0, 0.0245, 0.0491 and 0.05: 0.01 and 0.02 share the second
+    states = {}
+    compute_record = diagnostics.compute_record
+
+    def stashing(state, u_ref, p_ref, phis, s_prime, t):
+        states[t] = state.f.copy()
+        return compute_record(state, u_ref, p_ref, phis, s_prime, t)
+
+    monkeypatch.setattr(diagnostics, "compute_record", stashing)
+    cfg = write_cfg(tmp_path, BASE + "snapshot_times = 0, 0.01, 0.02, 0.03\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "snapshot times 0.01, 0.02 all fall" in capsys.readouterr().err
+    snaps = [read_snapshot(path) for path in sorted((tmp_path / "out").glob("snapshot_*"))]
+    times = sorted(states)
+    assert [t for _, t in snaps] == times[:3] and times[0] == 0.0
+    for fields, t in snaps:
+        assert np.array_equal(fields, states[t].reshape(15, 32, 32)), t
+    # the states differ, so a file written from a later state would fail above
+    assert not np.array_equal(states[times[1]], states[times[2]])
 
 
 def test_last_record_takes_the_snapshot_times_left(tmp_path):
