@@ -19,7 +19,8 @@ size of a field: compute_record, deviation_norms and error_functionals fill
 the grid's scratch (``grid.Scratch``, which lists who uses which buffer).
 The derivatives take real 1D transforms into it, both Sobolev norms share
 one rfft2 (``grid.coefficient_norm`` weighs it), and the sums of squares
-are taken over flat views.
+are taken over flat views.  A record reads the moments w that ``kinetic.run``
+summed and checked, and pairs the pressure through 1D test-function factors.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .errors import NonPositiveError, TooFewPoints
-from .model import KineticState, ModelParams, check_density, fluxes
+from .model import KineticState, ModelParams, _pressure_into, check_density, fluxes
 
 
 def error_functionals(grid: gridmod.Grid, rho: np.ndarray, u: np.ndarray, u_ref: np.ndarray,
@@ -66,7 +67,7 @@ def deviation_norms(f: np.ndarray, w: np.ndarray, grid: gridmod.Grid,
     Returns (dev_k, dev_h, dev_m, dev_xi) with
     dev_k = ||k - 2aw||, dev_m = ||m - A_1(w)/eps + tau*lam^2*dx(k)||
     and the y-analogues for h and xi.  Rejects a non-positive or non-finite
-    density of w.  w may be the grid scratch's w buffer.
+    density of w.
     """
     check_density(w[0])
     sc = gridmod.scratch(grid)
@@ -92,32 +93,14 @@ def deviation_norms(f: np.ndarray, w: np.ndarray, grid: gridmod.Grid,
     return dev_k, dev_h, gridmod.l2_norm(grid, mom[0]), gridmod.l2_norm(grid, mom[1])
 
 
-def _pressure_field(rho: np.ndarray, params: ModelParams, out: np.ndarray) -> np.ndarray:
-    np.multiply(rho, rho, out=out)
-    out -= params.rho_bar ** 2
-    out /= 2.0 * params.rho_bar * params.epsilon ** 2
-    out -= np.mean(out)
-    return out
-
-
-def pairing(f: np.ndarray, phi: np.ndarray) -> float:
-    """Normalized-measure inner product of two fields."""
-    f = np.asarray(f, dtype=float).reshape(-1)
-    # einsum, not np.dot: see grid.l2_norm
-    return float(np.einsum("i,i->", f, np.asarray(phi, dtype=float).reshape(-1))) / f.size
-
-
-#: fixed smooth test functions phi(x, y) of the weak-star pressure proxy, by name
+#: smooth test functions phi = a(x) * b(y) of the weak-star pressure proxy, by
+#: name, as factors (a, b) of the 1D coordinates; each phi has zero mean, so
+#: the pressure's mean, defined only up to a constant, reaches no pairing
 PRESSURE_TEST_FUNCTIONS = {
-    "cos2x": lambda x, y: np.cos(2 * x),
-    "cos2y": lambda x, y: np.cos(2 * y),
-    "sinxsiny": lambda x, y: np.sin(x) * np.sin(y),
+    "cos2x": (lambda c: np.cos(2 * c), np.ones_like),
+    "cos2y": (np.ones_like, lambda c: np.cos(2 * c)),
+    "sinxsiny": (np.sin, np.sin),
 }
-
-
-def pressure_test_functions(grid: gridmod.Grid) -> dict[str, np.ndarray]:
-    """PRESSURE_TEST_FUNCTIONS evaluated on grid."""
-    return {name: phi(grid.x, grid.y) for name, phi in PRESSURE_TEST_FUNCTIONS.items()}
 
 
 def relative_entropy_surrogate(w: np.ndarray, w_ref: np.ndarray, params: ModelParams,
@@ -193,19 +176,18 @@ class DiagnosticsRecord:
 RECORD_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "pairing_error")
 
 
-def compute_record(state: KineticState, u_ref: np.ndarray, p_ref: np.ndarray,
-                   phis: dict[str, np.ndarray], s_prime: float, t: float) -> DiagnosticsRecord:
-    """One record against the reference velocity u_ref (2, n, n) and pressure
-    p_ref; phis is pressure_test_functions(grid).
+def compute_record(state: KineticState, w: np.ndarray, u_ref: np.ndarray, p_ref: np.ndarray,
+                   s_prime: float, t: float) -> DiagnosticsRecord:
+    """One record of state, whose moments are w, against the reference
+    velocity u_ref (2, n, n) and pressure p_ref.
 
-    w is summed once, and deviation_norms makes the record's one density
-    check.  Every field is made in the grid's scratch, so a record
-    allocates nothing of the size of a field after the grid's first.
+    deviation_norms makes the record's one density check.  Every field is
+    made in the grid's scratch and each pairing is two sums over 1D factors,
+    so a record allocates nothing of the size of a field after the grid's first.
     """
     grid = state.grid
     p = state.params
     sc = gridmod.scratch(grid)
-    w = np.sum(state.f, axis=0, out=sc.w)
     dev_k, dev_h, dev_m, dev_xi = deviation_norms(state.f, w, grid, p)
     rho = w[0]
     field = sc.field
@@ -218,9 +200,18 @@ def compute_record(state: KineticState, u_ref: np.ndarray, p_ref: np.ndarray,
     w_ref[0] = p.rho_bar
     np.multiply(p.epsilon * p.rho_bar, u_ref, out=w_ref[1:])
     eta = relative_entropy_surrogate(w, w_ref, p, out=tmp)
-    # <recovered, phi> - <p_ref, phi> as one pairing of the difference
-    mismatch = _pressure_field(rho, p, out=field[0])
+    # <recovered, phi> - <p_ref, phi> as one pairing of the difference; the
+    # recovered pressure P(rho)/eps^2 keeps its mean (PRESSURE_TEST_FUNCTIONS)
+    mismatch = _pressure_into(rho, p, field[0])
+    mismatch /= p.epsilon ** 2
     mismatch -= p_ref
+    # <mismatch, a(x) b(y)> as rows against b, then against a: einsum calls no
+    # BLAS (see grid.l2_norm), and one three-operand einsum buffers a field
+    x = grid.coords
+    pairings = {}
+    for name, (a, b) in PRESSURE_TEST_FUNCTIONS.items():
+        rows = np.einsum("ij,j->i", mismatch, b(x))
+        pairings[name] = float(np.einsum("i,i->", a(x), rows)) / grid.n ** 2
     return DiagnosticsRecord(
         t=t,
         e0=e0,
@@ -233,7 +224,7 @@ def compute_record(state: KineticState, u_ref: np.ndarray, p_ref: np.ndarray,
         rho_min=float(np.min(rho)),
         rho_max=float(np.max(rho)),
         sup_bound_functional=bound_functional(w, p, out=field[1:3]),
-        pairing_error={name: pairing(mismatch, phi) for name, phi in phis.items()},
+        pairing_error=pairings,
     )
 
 

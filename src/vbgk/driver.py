@@ -29,6 +29,8 @@ overlaps the kinetic steps and records instead of adding to them.  The fork
 comes just before ``kinetic.run``, after the run's other set-up: in a
 prototype that forked at the start of ``run_simulation``, the child's work
 competed with the parent's set-up, which took 8-24% longer on 2 vCPU.
+A record reads the state and moments that ``kinetic.run`` hands to on_record
+and fills the grid's scratch, so a run makes no array for its records.
 
 A sweep spreads its members over k = min(members, usable CPUs) processes,
 since numpy work overlaps across processes and not across threads.  Every
@@ -393,9 +395,6 @@ def run_simulation(cfg: RunConfig, report: ValidationReport | None = None,
     """
     report = validated(cfg) if report is None else report
     params, grid, u0 = report.params, report.grid, report.u0
-    # made before the run's other arrays: made after them, the three test
-    # functions held a vortex_reference process's peak RSS about 0.75 MB higher
-    phis = diag.pressure_test_functions(grid)
     state0 = model.initial_kinetic_state(grid, u0, params)
     times = kinetic.record_times(report.solver, params, grid.dx)
     refs = _reference_records(ReferenceTrajectory(cfg, grid, u0), times)
@@ -406,7 +405,7 @@ def run_simulation(cfg: RunConfig, report: ValidationReport | None = None,
     pending = sorted(cfg.snapshot_times) if out_dir is not None else []
     names = (out_dir / f"snapshot_{i:03d}.vbgk" for i in range(len(pending)))
 
-    def on_record(t, state, step):
+    def on_record(t, state, w, step):
         k = len(records)
         try:
             t_ref, (u_ref, p_ref) = next(refs)
@@ -415,7 +414,7 @@ def run_simulation(cfg: RunConfig, report: ValidationReport | None = None,
                 from None
         if t_ref != t:
             raise RuntimeError(f"reference record {k} is at t = {t_ref!r}, not t = {t!r}")
-        records.append(diag.compute_record(state, u_ref, p_ref, phis, cfg.s_prime, t))
+        records.append(diag.compute_record(state, w, u_ref, p_ref, cfg.s_prime, t))
         # snapshots stamped with the actual record time reached; the run ends within
         # 1e-12 * max(1, t_end) of t_end, so the last record takes every time left
         taken = []

@@ -104,10 +104,10 @@ class Grid:
 class Scratch:
     """The buffers of one grid, shared by the stepper's kernels and the records.
 
-    w (3, n, n), pair (2, 3, n, n), field (3, n, n) and coeffs, one stacked
-    transform of 3 n (n/2+1) complex values whose float view ``real`` also
-    serves as a (3, n, n) buffer: 15 n^2 + 6 n floats, 0.49 MB at n = 64 and
-    1.97 MB at n = 128, the size of one kinetic state.  Their users:
+    pair (2, 3, n, n), field (3, n, n) and coeffs, one stacked transform of
+    3 n (n/2+1) complex values whose float view ``real`` also serves as a
+    (3, n, n) buffer: 12 n^2 + 6 n floats, 0.40 MB at n = 64 and 1.58 MB at
+    n = 128.  Their users:
 
     * kinetic relaxation: pair holds the Maxwellians' scaled terms;
     * kinetic transport: coeffs holds one mover's 1D transform, laid out
@@ -118,16 +118,15 @@ class Scratch:
       and real k - 2 a w before coeffs takes the transform;
     * diagnostics.error_functionals: pair holds rho - rho_bar, u - u_ref
       and rho u - rho_bar u_ref, coeffs their rfft2;
-    * the rest of compute_record: w the moments, field u, then the bound
-      functional and the pressure pairings; pair the entropy surrogate.
+    * the rest of compute_record: field u, then the bound functional and
+      the pressure mismatch; pair the entropy surrogate.
 
     Each user fills what it reads within one call, so one scratch per grid
-    serves a run and its records; the stepper's own w, which must outlive a
-    record, is not here.  Nothing that uses it is thread-safe.
+    serves a run and its records; the stepper's own w, which a record
+    reads, is not here.  Nothing that uses it is thread-safe.
     """
 
     def __init__(self, n: int):
-        self.w = np.empty((3, n, n))
         self.pair = np.empty((2, 3, n, n))
         self.field = np.empty((3, n, n))
         self.coeffs = np.empty((3, n, n // 2 + 1), dtype=complex)

@@ -29,8 +29,8 @@ Relaxation takes the moments w, which its caller sums, scales f by the
 decay factor and adds (1 - decay) * M_i(w) through ``model.add_maxwellians``,
 without building the (5, 3, n, n) Maxwellian stack.  One state per run:
 ``run`` copies its input once and steps that copy to the end, and on_record
-receives it itself, valid until the callback returns.  So the loop allocates
-nothing of state size, and a caller that keeps a recorded state copies it.
+receives it itself with the run's moments w, both valid until the callback
+returns.  So the loop allocates nothing of state size, and a caller copies what it keeps.
 
 Transport moves f_1 and f_3 along x and f_2 and f_4 along y, and f_5 not at
 all, so spectral transport is a 1D shift along each mover's axis of motion:
@@ -282,11 +282,13 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
     """Advance to cfg.t_end and return the final state.
 
     Aborts with BlowupDetected on NaN or inf, or on loss of density
-    positivity.  on_record(t, state, step_index) fires on the initial state,
-    every cfg.record_every-th step, and on the final step.  The state it
-    receives is the input at t = 0 and the stepper's own after that, valid
-    until on_record returns: a caller that keeps it must copy it.  The input
-    state is never modified.
+    positivity.  on_record(t, state, w, step_index) fires on the initial state,
+    every cfg.record_every-th step, and on the final step.  state is the input
+    at t = 0 and the stepper's own after that; w, its moments, is the sum over
+    the input's copy at t = 0 (the input's own sum, bit for bit), and after a
+    step the sum checked after transport, which the closing relaxation
+    conserves.  Both are valid until on_record returns: a caller that keeps
+    one must copy it.  The input state is never modified.
 
     The result equals a loop of strang_step up to round-off; the merged
     half-relaxations are described in the module docstring.  The input is
@@ -298,7 +300,7 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
     w = st.w()
     _check_health(w, 0.0)
     if on_record is not None:
-        on_record(0.0, state, 0)
+        on_record(0.0, state, w, 0)
     t_prev = 0.0
     step = 0
     owed = 0.0  # closing half-relaxation deferred from the previous step
@@ -312,7 +314,7 @@ def run(state: KineticState, cfg: SolverConfig, on_record=None) -> KineticState:
             _relax(st, w, owed)
             owed = 0.0
             if on_record is not None:
-                on_record(t, st, step)
+                on_record(t, st, w, step)
         t_prev = t
     return state if step == 0 else st
 

@@ -150,7 +150,8 @@ def add_maxwellians(f: np.ndarray, w: np.ndarray, scale: float, params: ModelPar
     """
     a = params.a
     np.multiply(w, scale * a, out=scratch[0])
-    f[:4] += scratch[0]
+    for f_i in f[:4]:  # not f[:4] +=, whose broadcast fills an iterator buffer
+        f_i += scratch[0]
     np.multiply(w, scale * (1.0 - 4.0 * a), out=scratch[0])
     f[4] += scratch[0]
     fluxes(w, params, out=scratch)

@@ -26,8 +26,8 @@ _HEADER = struct.Struct("<5sHIBd")
 
 
 def write_snapshot(path, fields: np.ndarray, time: float) -> None:
-    """Write a (ncomp, n, n) float array with its time stamp; an OSError
-    becomes a ConfigError."""
+    """Write a (ncomp, n, n) float array with its time stamp, from its own
+    memory when it is C-contiguous <f8; an OSError becomes a ConfigError."""
     fields = np.ascontiguousarray(np.asarray(fields, dtype="<f8"))
     if fields.ndim != 3 or fields.shape[1] != fields.shape[2]:
         raise ValueError(f"snapshot fields must be (ncomp, n, n), got {fields.shape}")
@@ -36,7 +36,7 @@ def write_snapshot(path, fields: np.ndarray, time: float) -> None:
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(fields.tobytes())
+            fh.write(fields)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 

@@ -187,9 +187,9 @@ def test_snapshot_files_hold_the_state_at_their_record(tmp_path, monkeypatch, ca
     states = {}
     compute_record = diagnostics.compute_record
 
-    def stashing(state, u_ref, p_ref, phis, s_prime, t):
+    def stashing(state, w, u_ref, p_ref, s_prime, t):
         states[t] = state.f.copy()
-        return compute_record(state, u_ref, p_ref, phis, s_prime, t)
+        return compute_record(state, w, u_ref, p_ref, s_prime, t)
 
     monkeypatch.setattr(diagnostics, "compute_record", stashing)
     cfg = write_cfg(tmp_path, BASE + "snapshot_times = 0, 0.01, 0.02, 0.03\n")

@@ -1,5 +1,7 @@
 import dataclasses
 import re
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +151,22 @@ def test_snapshot_round_trip_bit_identical(tmp_path):
     path2 = tmp_path / "snap2.vbgk"
     write_snapshot(path2, fields, time=0.375)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_snapshot_is_written_without_a_copy(tmp_path):
+    # an n = 64 state, 480 KiB, is written from its own memory: the file is
+    # the header, then the array's bytes, and no copy of them is made
+    fields = np.random.default_rng(1).standard_normal((15, 64, 64))
+    write_snapshot(tmp_path / "warm.vbgk", fields, time=0.5)
+    tracemalloc.start()
+    try:
+        write_snapshot(tmp_path / "snap.vbgk", fields, time=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    header = struct.pack("<5sHIBd", b"VBGK1", 1, 64, 15, 0.5)
+    assert (tmp_path / "snap.vbgk").read_bytes() == header + fields.astype("<f8").tobytes()
 
 
 def test_snapshot_header_layout(tmp_path):

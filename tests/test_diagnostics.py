@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vbgk.diagnostics import (
+    PRESSURE_TEST_FUNCTIONS,
     bound_functional,
     compute_record,
     deviation_norms,
     error_functionals,
     fit_rate,
-    pairing,
-    pressure_test_functions,
     relative_entropy_surrogate,
 )
 from vbgk.errors import NonPositiveDensity, NonPositiveError, TooFewPoints
@@ -23,8 +22,9 @@ from vbgk.navier_stokes import taylor_green_velocity
 from conftest import random_field
 
 
-def equilibrium_state(grid, params):
-    w = np.stack([np.full((grid.n, grid.n), params.rho_bar),
+def equilibrium_state(grid, params, rho=None):
+    rho = params.rho_bar if rho is None else rho
+    w = np.stack([np.full((grid.n, grid.n), rho),
                   np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n))])
     return KineticState(grid, params, maxwellians(w, params))
 
@@ -48,13 +48,20 @@ def density_velocity(w, params):
     return w[0], w[1:] / (params.epsilon * w[0])
 
 
-def record(state, u_ref=None, phis=None, s_prime=0.0):
-    """compute_record at t = 0 against u_ref, or the flow at rest; the reference pressure is 0."""
+def record(state, u_ref=None, p_ref=None, s_prime=0.0):
+    """compute_record at t = 0 against u_ref, or the flow at rest, and p_ref, or 0."""
     g = state.grid
     if u_ref is None:
         u_ref = np.zeros((2, g.n, g.n))
-    phis = pressure_test_functions(g) if phis is None else phis
-    return compute_record(state, u_ref, np.zeros((g.n, g.n)), phis, s_prime, 0.0)
+    if p_ref is None:
+        p_ref = np.zeros((g.n, g.n))
+    return compute_record(state, state.w(), u_ref, p_ref, s_prime, 0.0)
+
+
+def phi_fields(g):
+    """The pressure test functions written out as (n, n) fields on grid g."""
+    return {"cos2x": np.cos(2 * g.x), "cos2y": np.cos(2 * g.y),
+            "sinxsiny": np.sin(g.x) * np.sin(g.y)}
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +101,7 @@ def test_macro_fields_velocity_scaling(grid32, params_default):
 # the whole record against its functionals written out
 # ---------------------------------------------------------------------------
 
-def written_out_record(state, u_ref, p_ref, phis, s_prime):
+def written_out_record(state, u_ref, p_ref, s_prime):
     """The record's functionals with plain numpy: full complex transforms,
     means of squares and the pressure and entropy formulas."""
     g, p, f = state.grid, state.params, state.f
@@ -142,7 +149,8 @@ def written_out_record(state, u_ref, p_ref, phis, s_prime):
         "rho_max": rho.max(),
         "sup_bound_functional": np.max(np.abs(rho - p.rho_bar)) / p.epsilon
         + np.max(np.hypot(q1, q2)) / p.epsilon,
-        "pairing_error": {name: np.mean((recovered - p_ref) * phi) for name, phi in phis.items()},
+        "pairing_error": {name: np.mean((recovered - p_ref) * phi)
+                          for name, phi in phi_fields(g).items()},
     }
 
 
@@ -154,13 +162,14 @@ def test_compute_record_equals_the_written_out_functionals(n, seed):
     rng = np.random.default_rng(seed)
     u_ref, _ = taylor_green_velocity(g, 0.3, p.nu)
     p_ref = random_field(seed + 1, n)
-    phis = pressure_test_functions(g)
     prepared = initial_kinetic_state(g, u_ref, p)
     random = KineticState(g, p, 0.3 + 0.05 * rng.random((5, 3, n, n)))
     for state in (random, prepared):
         for s_prime in (0.0, 1.5):
-            got = compute_record(state, u_ref, p_ref, phis, s_prime, 0.0)
-            want = written_out_record(state, u_ref, p_ref, phis, s_prime)
+            got = compute_record(state, state.w(), u_ref, p_ref, s_prime, 0.0)
+            want = written_out_record(state, u_ref, p_ref, s_prime)
+            # every pairing, sin x sin y too, is far from 0, so a factor would show
+            assert min(abs(v) for v in want["pairing_error"].values()) > 1e-3
             # the prepared state's deviations and errors are pure round-off, ~1e-15
             for name, value in want.items():
                 if name == "pairing_error":
@@ -177,11 +186,11 @@ def test_repeated_record_allocates_no_field(n):
     p = make_params(0.05, 0.25, 3.0, 1.0, 1.0)
     u_ref, p_ref = taylor_green_velocity(g, 0.3, p.nu)
     state = initial_kinetic_state(g, u_ref, p)
-    phis = pressure_test_functions(g)
-    first = compute_record(state, u_ref, p_ref, phis, 1.0, 0.0)
+    w = state.w()
+    first = compute_record(state, w, u_ref, p_ref, 1.0, 0.0)
     tracemalloc.start()
     try:
-        second = compute_record(state, u_ref, p_ref, phis, 1.0, 0.0)
+        second = compute_record(state, w, u_ref, p_ref, 1.0, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,20 +321,39 @@ def test_deviations_reject_bad_density(grid32, params_default, bad):
 # ---------------------------------------------------------------------------
 
 def test_pressure_recovery_at_background(grid32, params_default):
-    phis = dict(pressure_test_functions(grid32), one=np.ones((32, 32)))
-    r = record(equilibrium_state(grid32, params_default), phis=phis)
+    r = record(equilibrium_state(grid32, params_default))
     assert max(abs(v) for v in r.pairing_error.values()) < 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_test_functions_have_zero_mean(n):
+    # so the record need not subtract the recovered pressure's mean
+    x = Grid(n).coords
+    for name, (a, b) in PRESSURE_TEST_FUNCTIONS.items():
+        assert abs(np.mean(a(x)) * np.mean(b(x))) < 1e-15, name
+
+
 def test_pressure_recovery_mean_zero(grid32, params_default):
-    r = record(random_state(grid32, params_default, 50), phis={"one": np.ones((32, 32))})
-    assert abs(r.pairing_error["one"]) < 1e-13
+    # the pressure is defined up to a constant: a uniform density off the
+    # background recovers a constant, and a constant added to p_ref or to
+    # the recovered pressure changes no pairing
+    uniform = record(equilibrium_state(grid32, params_default, rho=1.3),
+                     p_ref=np.full((32, 32), 7.0))
+    assert max(abs(v) for v in uniform.pairing_error.values()) < 1e-13
+    state = random_state(grid32, params_default, 50)
+    shifted = record(state, p_ref=np.full((32, 32), -7.0)).pairing_error
+    assert shifted == pytest.approx(record(state).pairing_error, rel=0, abs=1e-13)
 
 
-def test_pairing_values(grid32):
-    phis = pressure_test_functions(grid32)
-    assert pairing(phis["cos2x"], phis["cos2x"]) == pytest.approx(0.5, abs=1e-13)
-    assert pairing(phis["cos2x"], phis["cos2y"]) == pytest.approx(0.0, abs=1e-13)
+def test_pairing_values(grid32, params_default):
+    # the recovered pressure is 0 at the background, so p_ref = -phi pairs phi
+    # with each test function: <cos 2x, cos 2x> = 1/2, <sin x sin y,
+    # sin x sin y> = 1/4, and distinct test functions are orthogonal
+    norms = {"cos2x": 0.5, "cos2y": 0.5, "sinxsiny": 0.25}
+    for name, phi in phi_fields(grid32).items():
+        r = record(equilibrium_state(grid32, params_default), p_ref=-phi)
+        want = {other: norms[name] if other == name else 0.0 for other in norms}
+        assert r.pairing_error == pytest.approx(want, abs=1e-13), name
 
 
 # ---------------------------------------------------------------------------

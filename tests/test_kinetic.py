@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from vbgk.diagnostics import compute_record, pressure_test_functions
+from vbgk.diagnostics import compute_record
 from vbgk.errors import BlowupDetected, CflViolation, ConstraintViolation, NonPositiveDensity
 from vbgk import grid as gridmod, kinetic
 from vbgk.grid import Grid, l2_norm
@@ -317,7 +317,7 @@ def test_run_record_callback_cadence(grid32, params_default):
     st0 = equilibrium_state(grid32, params_default)
     cfg = SolverConfig(t_end=0.05, record_every=7)
     seen = []
-    run(st0, cfg, on_record=lambda t, s, step: seen.append((step, t)))
+    run(st0, cfg, on_record=lambda t, s, w, step: seen.append((step, t)))
     steps, times = zip(*seen)
     assert steps[0] == 0 and times[0] == 0.0
     assert times[-1] == pytest.approx(0.05, rel=1e-9)
@@ -333,21 +333,21 @@ def test_steps_and_records_between_steps_share_the_grid_scratch(mode):
     g = Grid(32)
     p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
     u_ref, p_ref = taylor_green_velocity(g, 0.0, p.nu)
-    phis = pressure_test_functions(g)
     st0 = taylor_green_state(g, p)
     other = random_state(g, p, 5)
     cfg = SolverConfig(t_end=0.05, transport_mode=mode, record_every=3)
 
     def meddle():
-        compute_record(strang_step(other, 1e-3, mode), u_ref, p_ref, phis, 1.0, 0.0)
+        moved = strang_step(other, 1e-3, mode)
+        compute_record(moved, moved.w(), u_ref, p_ref, 1.0, 0.0)
 
     def records(interleave):
         out = []
 
-        def on_record(t, state, step):
+        def on_record(t, state, w, step):
             if interleave:
                 meddle()
-            out.append(compute_record(state, u_ref, p_ref, phis, 1.0, t))
+            out.append(compute_record(state, w, u_ref, p_ref, 1.0, t))
             if interleave:
                 meddle()
 
@@ -360,6 +360,28 @@ def test_steps_and_records_between_steps_share_the_grid_scratch(mode):
 
 
 @pytest.mark.parametrize("mode", ["spectral", "upwind"])
+def test_records_read_the_moments_of_the_recorded_state(mode):
+    # on_record gets the run's own w: the sum over the input's copy at t = 0,
+    # and after a step the sum checked after transport, which the closing
+    # relaxation conserves up to round-off
+    g = Grid(32)
+    p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
+    u_ref, p_ref = taylor_green_velocity(g, 0.0, p.nu)
+    st0 = KineticState(g, p, taylor_green_state(g, p).f + 1e-3 * random_state(g, p, 7).f)
+    cfg = SolverConfig(t_end=0.05, transport_mode=mode, record_every=3)
+    records, gaps = [], []
+
+    def on_record(t, state, w, step):
+        total = state.f.sum(axis=0)
+        gaps.append(np.max(np.abs(w - total)) / np.max(np.abs(total)))
+        records.append(compute_record(state, w, u_ref, p_ref, 1.0, t))
+
+    run(st0, cfg, on_record)
+    assert len(gaps) == 5 and gaps[0] == 0.0 and max(gaps) <= 1e-14
+    assert records[0] == compute_record(st0, st0.w(), u_ref, p_ref, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "upwind"])
 def test_run_allocates_only_its_state_and_moments(mode):
     # once the grid's scratch exists, a run allocates its one copy of f and
     # the moments w, and nothing of state size per record; the kernels' flux
@@ -368,17 +390,17 @@ def test_run_allocates_only_its_state_and_moments(mode):
     p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
     st0 = taylor_green_state(g, p)
     cfg = SolverConfig(t_end=0.02, transport_mode=mode, record_every=2)
-    run(st0, cfg, on_record=lambda t, s, step: None)
+    run(st0, cfg, on_record=lambda t, s, w, step: None)
     tracemalloc.start()
     try:
-        run(st0, cfg, on_record=lambda t, s, step: None)
+        run(st0, cfg, on_record=lambda t, s, w, step: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     state_bytes = st0.f.nbytes
-    # f, w (a fifth of f), and room for small objects and the ~50 KB iterator
-    # buffer of the broadcast add in model.add_maxwellians at n = 32
-    assert peak < state_bytes + state_bytes // 5 + 64 * 1024
+    # f, w (a fifth of f), and room for small objects, but not for the
+    # ~50 KB iterator buffer that a broadcast in-place add makes at n = 32
+    assert peak < state_bytes + state_bytes // 5 + 16 * 1024
 
 
 def test_time_grid_partial_final_step():
@@ -394,7 +416,7 @@ def test_time_grid_partial_final_step():
     assert recorded == [0.0, all_times[3], all_times[7], all_times[9]]
     assert np.diff([0.0] + all_times) == pytest.approx([0.01] * 9 + [0.005])
     seen = []
-    run(equilibrium_state(g, p), cfg, on_record=lambda t, s, step: seen.append((step, t)))
+    run(equilibrium_state(g, p), cfg, on_record=lambda t, s, w, step: seen.append((step, t)))
     assert seen == list(zip([0, 4, 8, 10], recorded))
 
 
@@ -428,7 +450,7 @@ def test_run_matches_strang_step_loop(mode, record_every):
     cfg = SolverConfig(t_end=0.11, transport_mode=mode, record_every=record_every)
     recorded = {}
     # the state handed to on_record is valid until it returns: keep a copy
-    final = run(st0, cfg, on_record=lambda t, s, step: recorded.update({step: s.f.copy()}))
+    final = run(st0, cfg, on_record=lambda t, s, w, step: recorded.update({step: s.f.copy()}))
 
     times, _ = step_times(cfg, p, g.dx)
     dts = np.diff([0.0] + times)
@@ -485,7 +507,7 @@ def test_run_aborts_on_non_finite_momentum(grid32, params_default, mode, bad):
         seen = []
         with pytest.raises(BlowupDetected, match="non-finite values in kinetic state") as exc:
             run(st0, SolverConfig(t_end=0.1, transport_mode=mode),
-                on_record=lambda t, s, step: seen.append(step))
+                on_record=lambda t, s, w, step: seen.append(step))
         assert exc.value.t_last_good == 0.0
         # caught before the first record and the first relaxation
         assert seen == []
