@@ -20,7 +20,10 @@ the grid's scratch (``grid.Scratch``, which lists who uses which buffer).
 The derivatives take real 1D transforms into it, both Sobolev norms share
 one rfft2 (``grid.coefficient_norm`` weighs it), and the sums of squares
 are taken over flat views.  A record reads the moments w that ``kinetic.run``
-summed and checked, and pairs the pressure through 1D test-function factors.
+summed and checked, and pairs the recovered pressure through 1D
+test-function factors.  The reference pressure reaches a record only as its
+pairings, which ``pressure_pairings`` takes from the reference velocity with
+1D sums: no pressure field is made for a run.
 """
 
 from __future__ import annotations
@@ -93,14 +96,66 @@ def deviation_norms(f: np.ndarray, w: np.ndarray, grid: gridmod.Grid,
     return dev_k, dev_h, gridmod.l2_norm(grid, mom[0]), gridmod.l2_norm(grid, mom[1])
 
 
+@dataclass(frozen=True)
+class _Wave:
+    """cos(k c), or sin(k c) when odd, of the 1D coordinates c."""
+
+    k: int
+    odd: bool = False
+
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        return np.sin(self.k * c) if self.odd else np.cos(self.k * c)
+
+    def derivative(self, c: np.ndarray) -> np.ndarray:
+        return self.k * np.cos(self.k * c) if self.odd else -self.k * np.sin(self.k * c)
+
+
 #: smooth test functions phi = a(x) * b(y) of the weak-star pressure proxy, by
 #: name, as factors (a, b) of the 1D coordinates; each phi has zero mean, so
 #: the pressure's mean, defined only up to a constant, reaches no pairing
 PRESSURE_TEST_FUNCTIONS = {
-    "cos2x": (lambda c: np.cos(2 * c), np.ones_like),
-    "cos2y": (np.ones_like, lambda c: np.cos(2 * c)),
-    "sinxsiny": (np.sin, np.sin),
+    "cos2x": (_Wave(2), _Wave(0)),
+    "cos2y": (_Wave(0), _Wave(2)),
+    "sinxsiny": (_Wave(1, odd=True), _Wave(1, odd=True)),
 }
+
+
+def _pair(grid: gridmod.Grid, a: np.ndarray, b: np.ndarray, *fields: np.ndarray) -> float:
+    """<product of fields, a(x) b(y)> on grid: rows against b, then against a.
+
+    einsum calls no BLAS (see grid.l2_norm) and buffers nothing of field size
+    this way; one einsum over both axes would buffer a field.
+    """
+    rows = np.einsum(",".join(["ij"] * len(fields)) + ",j->i", *fields, b)
+    return float(np.einsum("i,i->", a, rows)) / grid.n ** 2
+
+
+def pressure_pairings(grid: gridmod.Grid, u: np.ndarray) -> np.ndarray:
+    """<p, phi> for each phi of PRESSURE_TEST_FUNCTIONS, in order, of the
+    mean-zero pressure p of the velocity u (2, n, n).
+
+    -lap(p) = div(div(u (x) u)), and phi = a(x) b(y) with single-mode factors
+    is an eigenfunction, -lap(phi) = (kx^2 + ky^2) phi, so
+    (kx^2 + ky^2) <p, phi> = <u_i u_j, d_i d_j phi>
+                           = -kx^2 <u1^2, phi> - ky^2 <u2^2, phi> + 2 <u1 u2, a' b'>,
+    the pairing of the spectral pressure (navier_stokes.pressure_from_velocity)
+    up to round-off.  Each term is two sums over 1D factors: no pressure
+    field and no transform are made.
+    """
+    u1, u2 = u
+    x = grid.coords
+    out = np.empty(len(PRESSURE_TEST_FUNCTIONS))
+    for i, (fa, fb) in enumerate(PRESSURE_TEST_FUNCTIONS.values()):
+        a, b = fa(x), fb(x)
+        total = 0.0
+        if fa.k:
+            total -= fa.k ** 2 * _pair(grid, a, b, u1, u1)
+        if fb.k:
+            total -= fb.k ** 2 * _pair(grid, a, b, u2, u2)
+        if fa.k and fb.k:
+            total += 2.0 * _pair(grid, fa.derivative(x), fb.derivative(x), u1, u2)
+        out[i] = total / (fa.k ** 2 + fb.k ** 2)
+    return out
 
 
 def relative_entropy_surrogate(w: np.ndarray, w_ref: np.ndarray, params: ModelParams,
@@ -176,14 +231,17 @@ class DiagnosticsRecord:
 RECORD_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "pairing_error")
 
 
-def compute_record(state: KineticState, w: np.ndarray, u_ref: np.ndarray, p_ref: np.ndarray,
-                   s_prime: float, t: float) -> DiagnosticsRecord:
+def compute_record(state: KineticState, w: np.ndarray, u_ref: np.ndarray,
+                   p_pairings: np.ndarray, s_prime: float, t: float) -> DiagnosticsRecord:
     """One record of state, whose moments are w, against the reference
-    velocity u_ref (2, n, n) and pressure p_ref.
+    velocity u_ref (2, n, n) and the pairings <p_ref, phi> of the reference
+    pressure, in the order of PRESSURE_TEST_FUNCTIONS (pressure_pairings).
 
     deviation_norms makes the record's one density check.  Every field is
-    made in the grid's scratch and each pairing is two sums over 1D factors,
-    so a record allocates nothing of the size of a field after the grid's first.
+    made in the grid's scratch, and the recovered pressure P(rho)/eps^2 is
+    paired by two sums over 1D factors, so a record allocates nothing of the
+    size of a field after the grid's first.  Its pairing errors are
+    <P(rho)/eps^2, phi> - <p_ref, phi>.
     """
     grid = state.grid
     p = state.params
@@ -200,18 +258,12 @@ def compute_record(state: KineticState, w: np.ndarray, u_ref: np.ndarray, p_ref:
     w_ref[0] = p.rho_bar
     np.multiply(p.epsilon * p.rho_bar, u_ref, out=w_ref[1:])
     eta = relative_entropy_surrogate(w, w_ref, p, out=tmp)
-    # <recovered, phi> - <p_ref, phi> as one pairing of the difference; the
-    # recovered pressure P(rho)/eps^2 keeps its mean (PRESSURE_TEST_FUNCTIONS)
-    mismatch = _pressure_into(rho, p, field[0])
-    mismatch /= p.epsilon ** 2
-    mismatch -= p_ref
-    # <mismatch, a(x) b(y)> as rows against b, then against a: einsum calls no
-    # BLAS (see grid.l2_norm), and one three-operand einsum buffers a field
+    # the recovered pressure keeps its mean (PRESSURE_TEST_FUNCTIONS)
+    recovered = _pressure_into(rho, p, field[0])
+    recovered /= p.epsilon ** 2
     x = grid.coords
-    pairings = {}
-    for name, (a, b) in PRESSURE_TEST_FUNCTIONS.items():
-        rows = np.einsum("ij,j->i", mismatch, b(x))
-        pairings[name] = float(np.einsum("i,i->", a(x), rows)) / grid.n ** 2
+    pairings = {name: _pair(grid, a(x), b(x), recovered) - float(p_ref)
+                for (name, (a, b)), p_ref in zip(PRESSURE_TEST_FUNCTIONS.items(), p_pairings)}
     return DiagnosticsRecord(
         t=t,
         e0=e0,

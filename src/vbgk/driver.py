@@ -13,17 +13,21 @@ views valid until the next item; a short read raises EOFError, so a partly
 sent item is never handed out.  An exception out of the generator is sent in
 place of an item and raised in the parent.  The child ends with ``os._exit``
 (no stdio flush, no atexit handlers); ``close`` kills and reaps it, whatever
-it is doing.  The pipe is asked to hold ``PIPE_BYTES``, a whole record up to
-n = 209, so the child writes one without waiting; a full pipe blocks it,
-which bounds how far it runs ahead.
+it is doing.  The pipe is asked to hold ``PIPE_BYTES``, a whole reference
+record up to n = 255, so the child writes one without waiting; a full pipe
+blocks it, which bounds how far it runs ahead.
 
 The reference does not depend on the kinetic state and a run's record times
 are known before it starts (``kinetic.record_times``), so every reference
-record comes from one stream, ``_reference_records``: the generator of
-(t, (u, p)) at those times through ``ReferenceTrajectory.at``, the one
-reference code path.  ``vbgk reference`` iterates it to write its files.  A
-run reads record k with ``next`` and checks that t equals its own record
-time exactly.  On Taylor-Green data the run iterates the stream in-process;
+record of a run comes from one stream, ``_reference_records``: the
+generator of (t, (u, pairings)) at those times, u through
+``ReferenceTrajectory.at``, the one reference code path, and the three
+pressure pairings <p, phi> from u (``diagnostics.pressure_pairings``); a
+record needs no more of the pressure, so no pressure field is made and the
+child sends 2 n^2 + 3 floats per record.  ``vbgk reference`` steps the same
+ReferenceTrajectory and writes the pressure field itself.  A run reads
+record k with ``next`` and checks that t equals its own record time
+exactly.  On Taylor-Green data the run iterates the stream in-process;
 on any other data it wraps it in a ``ForkedChannel``, so the reference
 overlaps the kinetic steps and records instead of adding to them.  The fork
 comes just before ``kinetic.run``, after the run's other set-up: in a
@@ -150,7 +154,7 @@ def initial_velocity(cfg: RunConfig, grid: Grid) -> np.ndarray:
     same data.
     """
     if cfg.initial_data == "taylor_green":
-        return navier_stokes.taylor_green_velocity(grid, 0.0, cfg.nu)[0]
+        return navier_stokes.taylor_green_velocity(grid, 0.0, cfg.nu)
     if cfg.initial_data == "zero":
         return np.zeros((2, grid.n, grid.n))
     fields, _ = snapshots.read_snapshot(cfg.initial_data_path)
@@ -246,32 +250,34 @@ def validated(cfg: RunConfig) -> ValidationReport:
 
 
 class ReferenceTrajectory:
-    """Reference velocity (2, n, n) and pressure evaluated at increasing times.
+    """Reference velocity (2, n, n) evaluated at increasing times.
 
     Taylor-Green data uses the closed form (zero reference error).  Every
     other source, zero data included, advances the pseudo-spectral solver
     from u0, the initial velocity the caller has read and checked, between
     requested times.  The flow stays in vorticity coefficients from one
     request to the next; a request that steps converts it to velocity once,
-    and a time within 1e-14 of the last one (t = 0 at first) gets the last
-    velocity again, so t = 0 gives u0.
+    into the flow's workspace, and a time within 1e-14 of the last one
+    (t = 0 at first) gets the last velocity again, so t = 0 gives u0.  The
+    velocity of a stepped flow is the flow's buffer, valid until the next
+    request.
     """
 
     def __init__(self, cfg: RunConfig, grid: Grid, u0: np.ndarray):
         self._cfg = cfg
-        self._grid = grid
+        self.grid = grid
         if cfg.initial_data != "taylor_green":
             self._u = u0
             self._flow = navier_stokes.VorticityFlow(grid, u0, cfg.nu, 0.0)
             u_max = max(float(np.max(np.abs(u0))), 1e-8)
             self._dt_max = min(1e-3, 0.25 * grid.dx / u_max)
 
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def at(self, t: float) -> np.ndarray:
         if self._cfg.initial_data == "taylor_green":
-            return navier_stokes.taylor_green_velocity(self._grid, t, self._cfg.nu)
+            return navier_stokes.taylor_green_velocity(self.grid, t, self._cfg.nu)
         if self._flow.advance(t, self._dt_max):
             self._u = self._flow.velocity()
-        return self._u, navier_stokes.pressure_from_velocity(self._grid, self._u)
+        return self._u
 
 
 class ForkedChannel:
@@ -356,9 +362,11 @@ def _serve(items, write_fd: int):
 
 
 def _reference_records(reference: ReferenceTrajectory, times):
-    """(t, (u, p)) of the reference at each of times: the one record stream."""
+    """(t, (u, <p, phi> for each phi of PRESSURE_TEST_FUNCTIONS)) of the
+    reference at each of times: the one record stream of a run."""
     for t in times:
-        yield t, reference.at(t)
+        u = reference.at(t)
+        yield t, (u, diag.pressure_pairings(reference.grid, u))
 
 
 @dataclass
@@ -374,7 +382,7 @@ class SimulationOutput:
         return max(getattr(r, name) for r in self.records)
 
     def mean_pairing_error(self, phi: str) -> float:
-        """Time-averaged pairing mismatch |<recovered - p_ref, phi>|."""
+        """Time-averaged pairing mismatch |<recovered, phi> - <p_ref, phi>|."""
         return abs(float(np.mean([r.pairing_error[phi] for r in self.records])))
 
 
@@ -408,13 +416,13 @@ def run_simulation(cfg: RunConfig, report: ValidationReport | None = None,
     def on_record(t, state, w, step):
         k = len(records)
         try:
-            t_ref, (u_ref, p_ref) = next(refs)
+            t_ref, (u_ref, p_pairings) = next(refs)
         except EOFError:
             raise RuntimeError(f"reference process ended before record {k} at t = {t!r}") \
                 from None
         if t_ref != t:
             raise RuntimeError(f"reference record {k} is at t = {t_ref!r}, not t = {t!r}")
-        records.append(diag.compute_record(state, w, u_ref, p_ref, cfg.s_prime, t))
+        records.append(diag.compute_record(state, w, u_ref, p_pairings, cfg.s_prime, t))
         # snapshots stamped with the actual record time reached; the run ends within
         # 1e-12 * max(1, t_end) of t_end, so the last record takes every time left
         taken = []
@@ -614,13 +622,16 @@ def rates_report(cfg: RunConfig, fits, runs, ok_epsilons, failures) -> str:
 
 
 def reference_to_files(cfg: RunConfig, out_dir) -> list[float]:
-    """cmd_reference body: reference snapshots + energy series at record times."""
+    """cmd_reference body: reference snapshots (u1, u2, p) + energy series at
+    record times."""
     out_dir = make_dir(out_dir)
     report = validate(cfg)
     times = kinetic.record_times(report.solver, report.params, report.grid.dx)
-    records = _reference_records(ReferenceTrajectory(cfg, report.grid, report.u0), times)
+    reference = ReferenceTrajectory(cfg, report.grid, report.u0)
     rows = ["t,energy"]
-    for i, (t, (u, p)) in enumerate(records):
+    for i, t in enumerate(times):
+        u = reference.at(t)
+        p = navier_stokes.pressure_from_velocity(report.grid, u)
         snapshots.write_snapshot(out_dir / f"reference_{i:03d}.vbgk", np.stack([*u, p]), t)
         rows.append(f"{fmt(t)},{fmt(float(np.mean(u[0] ** 2 + u[1] ** 2)))}")
     write_text(out_dir / "reference.csv", "\n".join(rows) + "\n")

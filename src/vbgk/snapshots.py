@@ -13,8 +13,8 @@ Layout (little-endian, no padding):
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -42,23 +42,31 @@ def write_snapshot(path, fields: np.ndarray, time: float) -> None:
 
 
 def read_snapshot(path) -> tuple[np.ndarray, float]:
-    """Read back (fields, time); validates magic, version, payload length."""
+    """Read back (fields, time); validates magic, version, payload length.
+
+    The header is read first, then the payload once, with readinto, into the
+    array that is returned: no copy of its bytes is made.
+    """
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            header = fh.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise ConfigError(f"snapshot {path} truncated before header")
+            magic, version, n, ncomp, time = _HEADER.unpack(header)
+            if magic != MAGIC:
+                raise ConfigError(f"snapshot {path} has bad magic {magic!r}")
+            if version != VERSION:
+                raise ConfigError(f"snapshot {path} has unsupported version {version}")
+            expected = ncomp * n * n * 8
+            size = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if size != expected:
+                raise ConfigError(
+                    f"snapshot {path} payload is {size} bytes, expected {expected}"
+                )
+            fields = np.empty((ncomp, n, n), dtype="<f8")
+            got = fh.readinto(fields)
     except OSError as exc:
         raise ConfigError(f"cannot read snapshot {path}: {exc}") from None
-    if len(raw) < _HEADER.size:
-        raise ConfigError(f"snapshot {path} truncated before header")
-    magic, version, n, ncomp, time = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ConfigError(f"snapshot {path} has bad magic {magic!r}")
-    if version != VERSION:
-        raise ConfigError(f"snapshot {path} has unsupported version {version}")
-    expected = ncomp * n * n * 8
-    payload = raw[_HEADER.size:]
-    if len(payload) != expected:
-        raise ConfigError(
-            f"snapshot {path} payload is {len(payload)} bytes, expected {expected}"
-        )
-    fields = np.frombuffer(payload, dtype="<f8").reshape(ncomp, n, n).copy()
+    if got != expected:
+        raise ConfigError(f"snapshot {path} payload is {got} bytes, expected {expected}")
     return fields, time

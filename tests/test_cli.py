@@ -304,7 +304,7 @@ def test_every_command_rejects_non_finite_file_data(tmp_path, capsys, bad):
     # a NaN divergence passes no "> 1e-10" test, so without the finiteness
     # check reference wrote NaN snapshots and exited 0
     g = Grid(32)
-    u0, _ = taylor_green_velocity(g, 0.0, 0.01)
+    u0 = taylor_green_velocity(g, 0.0, 0.01)
     u0[1, 3, 5] = bad
     path = tmp_path / "u0.vbgk"
     write_snapshot(path, u0, 0.0)
@@ -382,16 +382,16 @@ def test_reference_requests_run_no_divergence_check(tmp_path, monkeypatch):
     # the initial velocity is checked once as it is read; a request hands out
     # the reference velocity as an array and checks nothing
     g = Grid(32)
-    u0, _ = taylor_green_velocity(g, 0.0, 0.01)
+    u0 = taylor_green_velocity(g, 0.0, 0.01)
     path = tmp_path / "u0.vbgk"
     write_snapshot(path, u0, 0.0)
-    exact, _ = taylor_green_velocity(g, 0.0035, 0.01)
+    exact = taylor_green_velocity(g, 0.0035, 0.01)
     for source in ("taylor_green", f"file:{path}"):
         cfg = parse_config_text(BASE + f"initial_data = {source}\n")
         reference = driver.ReferenceTrajectory(cfg, g, driver.initial_velocity(cfg, g))
         checks = [count_calls(monkeypatch, module, "spectral_divergence")
                   for module in (navier_stokes, gridmod)]
-        u, _ = reference.at(0.0035)  # file data: four substeps of at most 1e-3
+        u = reference.at(0.0035)  # file data: four substeps of at most 1e-3
         assert checks == [[], []]
         assert u.shape == (2, 32, 32)
         assert np.max(np.abs(u - exact)) < 1e-12

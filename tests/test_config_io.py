@@ -169,6 +169,44 @@ def test_snapshot_is_written_without_a_copy(tmp_path):
     assert (tmp_path / "snap.vbgk").read_bytes() == header + fields.astype("<f8").tobytes()
 
 
+def test_snapshot_is_read_into_one_array(tmp_path):
+    # an n = 128 velocity, 256 KiB, is read once, into the array returned
+    fields = np.random.default_rng(2).standard_normal((2, 128, 128))
+    path = tmp_path / "u.vbgk"
+    write_snapshot(path, fields, time=0.25)
+    read_snapshot(path)
+    tracemalloc.start()
+    try:
+        back, t = read_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < fields.nbytes + 16 * 1024
+    assert t == 0.25
+    assert back.shape == fields.shape and back.tobytes() == fields.tobytes()
+
+
+def test_snapshot_errors_name_the_fault(tmp_path):
+    path = tmp_path / "snap.vbgk"
+    write_snapshot(path, np.zeros((2, 8, 8)), time=1.5)
+    raw = path.read_bytes()
+    cases = {
+        raw[:10]: "truncated before header",
+        b"NOPE!" + raw[5:]: "has bad magic b'NOPE!'",
+        raw[:5] + struct.pack("<H", 2) + raw[7:]: "has unsupported version 2",
+        raw[:-8]: "payload is 1016 bytes, expected 1024",
+        raw + b"x": "payload is 1025 bytes, expected 1024",
+    }
+    for data, message in cases.items():
+        bad = tmp_path / "bad.vbgk"
+        bad.write_bytes(data)
+        want = f"^snapshot {re.escape(str(bad))} {re.escape(message)}$"
+        with pytest.raises(ConfigError, match=want):
+            read_snapshot(bad)
+    with pytest.raises(ConfigError, match="^cannot read snapshot "):
+        read_snapshot(tmp_path / "missing.vbgk")
+
+
 def test_snapshot_header_layout(tmp_path):
     path = tmp_path / "snap.vbgk"
     write_snapshot(path, np.zeros((2, 8, 8)), time=1.5)

@@ -11,13 +11,14 @@ from vbgk.diagnostics import (
     deviation_norms,
     error_functionals,
     fit_rate,
+    pressure_pairings,
     relative_entropy_surrogate,
 )
 from vbgk.errors import NonPositiveDensity, NonPositiveError, TooFewPoints
 from vbgk.grid import Grid, l2_norm, sobolev_norm, spectral_derivative
 from vbgk.kinetic import relaxation_step
 from vbgk.model import KineticState, fluxes, initial_kinetic_state, make_params, maxwellians
-from vbgk.navier_stokes import taylor_green_velocity
+from vbgk.navier_stokes import pressure_from_velocity, taylor_green_velocity
 
 from conftest import random_field
 
@@ -39,7 +40,7 @@ def random_state(grid, params, seed):
 
 
 def taylor_green_state(grid, params):
-    u, _ = taylor_green_velocity(grid, 0.0, params.nu)
+    u = taylor_green_velocity(grid, 0.0, params.nu)
     return initial_kinetic_state(grid, u, params)
 
 
@@ -49,19 +50,26 @@ def density_velocity(w, params):
 
 
 def record(state, u_ref=None, p_ref=None, s_prime=0.0):
-    """compute_record at t = 0 against u_ref, or the flow at rest, and p_ref, or 0."""
+    """compute_record at t = 0 against u_ref, or the flow at rest, and the
+    grid pairings of the pressure field p_ref, or 0."""
     g = state.grid
     if u_ref is None:
         u_ref = np.zeros((2, g.n, g.n))
     if p_ref is None:
         p_ref = np.zeros((g.n, g.n))
-    return compute_record(state, state.w(), u_ref, p_ref, s_prime, 0.0)
+    return compute_record(state, state.w(), u_ref, grid_pairings(p_ref), s_prime, 0.0)
 
 
 def phi_fields(g):
     """The pressure test functions written out as (n, n) fields on grid g."""
     return {"cos2x": np.cos(2 * g.x), "cos2y": np.cos(2 * g.y),
             "sinxsiny": np.sin(g.x) * np.sin(g.y)}
+
+
+def grid_pairings(p):
+    """<p, phi> = mean(p * phi) of an (n, n) field p, in the order of phi_fields."""
+    g = Grid(p.shape[0])
+    return np.array([np.mean(p * phi) for phi in phi_fields(g).values()])
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +87,7 @@ def test_macro_fields_equilibrium(grid32, params_default):
 
 def test_macro_fields_recover_initial_velocity(grid32, params_default):
     # es at s' = 0 is ||rho - rho_bar|| / eps + ||u - u_ref||
-    u_ref, _ = taylor_green_velocity(grid32, 0.0, params_default.nu)
+    u_ref = taylor_green_velocity(grid32, 0.0, params_default.nu)
     r = record(taylor_green_state(grid32, params_default), u_ref=u_ref)
     assert r.es < 1e-12
 
@@ -160,13 +168,16 @@ def test_compute_record_equals_the_written_out_functionals(n, seed):
     g = Grid(n)
     p = make_params(0.05, 0.25, 3.0, 1.0, 1.0)
     rng = np.random.default_rng(seed)
-    u_ref, _ = taylor_green_velocity(g, 0.3, p.nu)
-    p_ref = random_field(seed + 1, n)
+    u_ref = taylor_green_velocity(g, 0.3, p.nu)
+    # the reference pressure of a seeded velocity, paired as a run pairs it
+    u_p = np.stack([random_field(seed + 1, n), random_field(seed + 2, n)])
+    p_ref = pressure_from_velocity(g, u_p)
     prepared = initial_kinetic_state(g, u_ref, p)
     random = KineticState(g, p, 0.3 + 0.05 * rng.random((5, 3, n, n)))
     for state in (random, prepared):
         for s_prime in (0.0, 1.5):
-            got = compute_record(state, state.w(), u_ref, p_ref, s_prime, 0.0)
+            got = compute_record(state, state.w(), u_ref, pressure_pairings(g, u_p),
+                                 s_prime, 0.0)
             want = written_out_record(state, u_ref, p_ref, s_prime)
             # every pairing, sin x sin y too, is far from 0, so a factor would show
             assert min(abs(v) for v in want["pairing_error"].values()) > 1e-3
@@ -184,7 +195,8 @@ def test_repeated_record_allocates_no_field(n):
     # records make nothing of the size of an (n, n) field
     g = Grid(n)
     p = make_params(0.05, 0.25, 3.0, 1.0, 1.0)
-    u_ref, p_ref = taylor_green_velocity(g, 0.3, p.nu)
+    u_ref = taylor_green_velocity(g, 0.3, p.nu)
+    p_ref = pressure_pairings(g, u_ref)
     state = initial_kinetic_state(g, u_ref, p)
     w = state.w()
     first = compute_record(state, w, u_ref, p_ref, 1.0, 0.0)
@@ -206,7 +218,7 @@ def test_error_functionals_zero_on_well_prepared_data(grid32, params_default):
     # the perturbed-Maxwellian corrections cancel in the projection, so the
     # macroscopic moments match the reference exactly at t = 0
     state = taylor_green_state(grid32, params_default)
-    u_ref, _ = taylor_green_velocity(grid32, 0.0, params_default.nu)
+    u_ref = taylor_green_velocity(grid32, 0.0, params_default.nu)
     rho, u = density_velocity(state.w(), params_default)
     e0, es = error_functionals(grid32, rho, u, u_ref, params_default, s_prime=2.0)
     assert e0 < 1e-11
@@ -225,7 +237,7 @@ def test_error_functionals_self_reference(grid32, params_default):
 
 def test_es_monotone_in_s_prime(grid32, params_default):
     state = random_state(grid32, params_default, 34)
-    u_ref, _ = taylor_green_velocity(grid32, 0.0, params_default.nu)
+    u_ref = taylor_green_velocity(grid32, 0.0, params_default.nu)
     rho, u = density_velocity(state.w(), params_default)
     values = [error_functionals(grid32, rho, u, u_ref, params_default, s_prime=s)[1]
               for s in (0.5, 1.0, 2.0, 3.0)]
@@ -236,7 +248,7 @@ def test_e0_equals_momentum_functional_at_s_zero(grid32, params_default):
     # replacing the velocity difference by the momentum difference at s' = 0
     # reproduces e0 exactly
     state = random_state(grid32, params_default, 35)
-    u_ref, _ = taylor_green_velocity(grid32, 0.0, params_default.nu)
+    u_ref = taylor_green_velocity(grid32, 0.0, params_default.nu)
     rho, u = density_velocity(state.w(), params_default)
     e0, _ = error_functionals(grid32, rho, u, u_ref, params_default, s_prime=2.0)
     p = params_default
@@ -354,6 +366,26 @@ def test_pairing_values(grid32, params_default):
         r = record(equilibrium_state(grid32, params_default), p_ref=-phi)
         want = {other: norms[name] if other == name else 0.0 for other in norms}
         assert r.pairing_error == pytest.approx(want, abs=1e-13), name
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_pressure_pairings_are_those_of_the_spectral_pressure(n):
+    # the identity |k|^2 <p, phi> = <u_i u_j, d_i d_j phi> on the grid: the
+    # pairings equal those of the pressure field up to round-off
+    g = Grid(n)
+    u = np.stack([random_field(60 + n, n), random_field(61 + n, n)])
+    want = grid_pairings(pressure_from_velocity(g, u))
+    assert min(abs(want)) > 1e-3  # sin x sin y too, so a wrong factor would show
+    assert np.max(np.abs(pressure_pairings(g, u) - want)) < 1e-14
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7, 3.0])
+def test_pressure_pairings_of_taylor_green(grid32, t):
+    # p = -(cos 2x + cos 2y)/4 e^{-4 nu t}: <p, cos 2x> = <p, cos 2y> = -e^{-4 nu t}/8
+    nu = 0.01
+    decay = np.exp(-4.0 * nu * t)
+    got = pressure_pairings(grid32, taylor_green_velocity(grid32, t, nu))
+    assert np.max(np.abs(got - [-decay / 8, -decay / 8, 0.0])) < 1e-15
 
 
 # ---------------------------------------------------------------------------

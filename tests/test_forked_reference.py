@@ -70,25 +70,26 @@ def assert_no_child_process():
 
 @pytest.mark.parametrize("n", [32, 256])
 def test_forked_reference_equals_serial_at_every_record_time(tmp_path, n):
-    # a record is 3 n^2 doubles: 24 KiB at n = 32 and 1.5 MiB at n = 256,
-    # more than the channel's pipe holds, so there the child blocks partway
-    # through writing each record; t_end goes as dx, so every n has 12 records
+    # a record is the velocity and three pairings, 2 n^2 + 3 doubles: 16 KiB
+    # at n = 32 and just over 1 MiB at n = 256, more than the channel's pipe
+    # holds, so there the child blocks partway through writing each record;
+    # t_end goes as dx, so every n has 12 records
     _, cfg = file_config(tmp_path, n)
     cfg = dataclasses.replace(cfg, t_end=0.05 * 32 / n)
     report = driver.validate(cfg)
     _, times = kinetic.step_times(report.solver, report.params, report.grid.dx)
     assert len(times) == 12
-    assert n == 32 or 3 * n * n * 8 > driver.PIPE_BYTES
+    assert n == 32 or (2 * n * n + 3) * 8 > driver.PIPE_BYTES
     serial = driver.ReferenceTrajectory(cfg, report.grid, report.u0)
     forked = driver.ForkedChannel(driver._reference_records(
         driver.ReferenceTrajectory(cfg, report.grid, report.u0), times))
     try:
         for t in times:
-            t_ref, (u_ref, p_ref) = next(forked)
-            u, p = serial.at(t)
+            t_ref, (u_ref, pairings) = next(forked)
+            u = serial.at(t)
             assert t_ref == t
             assert np.array_equal(u_ref, u)
-            assert np.array_equal(p_ref, p)
+            assert np.array_equal(pairings, diagnostics.pressure_pairings(report.grid, u))
         with pytest.raises(EOFError):  # the child sent every record and exited
             next(forked)
     finally:
