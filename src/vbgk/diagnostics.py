@@ -17,18 +17,19 @@ macroscopic fields against an incompressible reference solution:
 A run takes a record every few steps, so a record allocates nothing of the
 size of a field: compute_record, deviation_norms and error_functionals fill
 the grid's scratch (``grid.Scratch``, which lists who uses which buffer).
-The derivatives take real 1D transforms into it, both Sobolev norms share
-one rfft2 (``grid.coefficient_norm`` weighs it), and the sums of squares
-are taken over flat views.  A record reads the moments w that ``kinetic.run``
+The derivatives take its transform buffer, both Sobolev norms share one
+rfft2 (``grid.coefficient_norm`` weighs it), and the sums of squares are
+taken over flat views.  A record reads the moments w that ``kinetic.run``
 summed and checked, and pairs the recovered pressure through 1D
-test-function factors.  The reference pressure reaches a record only as its
-pairings, which ``pressure_pairings`` takes from the reference velocity with
-1D sums: no pressure field is made for a run.
+test-function factors made once per grid.  The reference pressure reaches
+a record only as its pairings, which ``pressure_pairings`` takes from the
+reference velocity with 1D sums: no pressure field is made for a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,6 +121,17 @@ PRESSURE_TEST_FUNCTIONS = {
 }
 
 
+@lru_cache(maxsize=8)
+def _test_function_factors(grid: gridmod.Grid) -> np.ndarray:
+    """(a, b, a', b') on the grid's 1D coordinates for each phi = a(x) b(y)
+    of PRESSURE_TEST_FUNCTIONS, in order, shape (3, 4, n): made once per grid."""
+    x = grid.coords
+    table = np.array([(fa(x), fb(x), fa.derivative(x), fb.derivative(x))
+                      for fa, fb in PRESSURE_TEST_FUNCTIONS.values()])
+    table.setflags(write=False)
+    return table
+
+
 def _pair(grid: gridmod.Grid, a: np.ndarray, b: np.ndarray, *fields: np.ndarray) -> float:
     """<product of fields, a(x) b(y)> on grid: rows against b, then against a.
 
@@ -143,17 +155,16 @@ def pressure_pairings(grid: gridmod.Grid, u: np.ndarray) -> np.ndarray:
     field and no transform are made.
     """
     u1, u2 = u
-    x = grid.coords
     out = np.empty(len(PRESSURE_TEST_FUNCTIONS))
-    for i, (fa, fb) in enumerate(PRESSURE_TEST_FUNCTIONS.values()):
-        a, b = fa(x), fb(x)
+    for i, ((fa, fb), (a, b, da, db)) in enumerate(zip(PRESSURE_TEST_FUNCTIONS.values(),
+                                                       _test_function_factors(grid))):
         total = 0.0
         if fa.k:
             total -= fa.k ** 2 * _pair(grid, a, b, u1, u1)
         if fb.k:
             total -= fb.k ** 2 * _pair(grid, a, b, u2, u2)
         if fa.k and fb.k:
-            total += 2.0 * _pair(grid, fa.derivative(x), fb.derivative(x), u1, u2)
+            total += 2.0 * _pair(grid, da, db, u1, u2)
         out[i] = total / (fa.k ** 2 + fb.k ** 2)
     return out
 
@@ -261,9 +272,8 @@ def compute_record(state: KineticState, w: np.ndarray, u_ref: np.ndarray,
     # the recovered pressure keeps its mean (PRESSURE_TEST_FUNCTIONS)
     recovered = _pressure_into(rho, p, field[0])
     recovered /= p.epsilon ** 2
-    x = grid.coords
-    pairings = {name: _pair(grid, a(x), b(x), recovered) - float(p_ref)
-                for (name, (a, b)), p_ref in zip(PRESSURE_TEST_FUNCTIONS.items(), p_pairings)}
+    pairings = {name: _pair(grid, a, b, recovered) - float(p_ref) for name, (a, b, _, _), p_ref
+                in zip(PRESSURE_TEST_FUNCTIONS, _test_function_factors(grid), p_pairings)}
     return DiagnosticsRecord(
         t=t,
         e0=e0,

@@ -55,10 +55,10 @@ unread outputs fill ``PIPE_BYTES`` and block it only after ~6000 records.
 
 The one LAPACK call, ``polyfit`` in the rate fits, stays in the parent after
 the join.  Children run transforms, elementwise numpy code, einsum sums and,
-at n <= 64, the spectral transport's gemm, which OpenBLAS runs on the calling
-thread at that size (``kinetic.SHIFT_MATRIX_MAX_CUBE``); none of these uses
-the BLAS threads that numpy may have started in the parent and that the fork
-does not copy.  The parent writes every file in member order, so the files
+at n <= 64, the gemm of spectral shifts and derivatives, which OpenBLAS runs
+on the calling thread at that size (``grid.MATRIX_KERNEL_MAX_CUBE``); none of
+these uses the BLAS threads that numpy may have started in the parent and
+that the fork does not copy.  The parent writes every file in member order, so the files
 do not depend on k; with k = 1 no member forks.  A sweep writes no
 snapshots: its members run without an output directory.  A file-data member
 forks its own reference as well: in a 4-member n = 64 sweep on 2 vCPU, that

@@ -2,7 +2,8 @@
 
 The package's 1D Fourier multipliers live here, ``spectral_derivative``
 (i k)^order and ``spectral_shift`` exp(-i k s), the kinetic free transport;
-both are one routine: a real 1D transform, a cached table, the inverse.
+both are one routine, which picks its kernel by grid size: a cached n-by-n
+matrix up to n = 64 (``MATRIX_KERNEL_MAX_CUBE``), a real 1D transform above.
 
 Conventions used everywhere in the package:
 
@@ -111,11 +112,11 @@ class Scratch:
 
     * kinetic relaxation: pair holds the Maxwellians' scaled terms;
     * kinetic transport: coeffs holds one mover's 1D transform, laid out
-      (3, n, n/2+1) along either axis as in spectral_shift; field the moved
-      mover of the shift-matrix product, or upwind its shifted copy;
+      (3, n, n/2+1) along either axis as in spectral_shift, or up to n = 64
+      the matrix kernel's product buffer; field only upwind's shifted copy;
     * diagnostics.deviation_norms: pair holds m - A(w)/eps for both
       directions; per direction, field holds k (or h), then its derivative,
-      and real k - 2 a w before coeffs takes the transform;
+      and real k - 2 a w before the derivative takes coeffs;
     * diagnostics.error_functionals: pair holds rho - rho_bar, u - u_ref
       and rho u - rho_bar u_ref, coeffs their rfft2;
     * the rest of compute_record: field u, then the bound functional and
@@ -139,47 +140,90 @@ def scratch(grid: Grid) -> Scratch:
     return Scratch(grid.n)
 
 
+#: largest n^3 at which a 1D multiplier is a matrix product.  OpenBLAS runs a
+#: dgemm on the calling thread while m*n*k <= 65536 * GEMM_MULTITHREAD_THRESHOLD
+#: (4 by default), and one n-by-n plane at n = 64 is exactly 2^18.  Above it
+#: the product would start BLAS threads, which spin-wait: on 2 vCPU, a 4-member
+#: spectral sweep at n = 128 with the product took 1.4-14.9 s unpinned against
+#: 0.50-0.56 s with OPENBLAS_NUM_THREADS=1.  Single-threaded, the transform
+#: kernel wins again above n of about 160.  The limit is unverified on MKL and
+#: Accelerate builds of numpy.
+MATRIX_KERNEL_MAX_CUBE = 2 ** 18
+
+
 @lru_cache(maxsize=8)
-def _derivative_factor(grid: Grid, order: int) -> np.ndarray:
-    """(i k)^order for the wavenumber k of the last axis of the rfft layout,
-    repeated on every row: shape (n, n/2+1)."""
-    arr = np.repeat(((1j * np.arange(grid.n // 2 + 1)) ** order)[None, :], grid.n, axis=0)
+def _multiplier_table(grid: Grid, multiplier: tuple[str, float]) -> np.ndarray:
+    """("derivative", order), (i k)^order, or ("shift", s), exp(-i k s), for
+    the wavenumber k of the last axis of the rfft layout, repeated on every
+    row: shape (n, n/2+1)."""
+    kind, value = multiplier
+    k = np.arange(grid.n // 2 + 1)
+    row = np.exp(-1j * value * k) if kind == "shift" else (1j * k) ** value
+    arr = np.repeat(row[None, :], grid.n, axis=0)
     arr.setflags(write=False)
     return arr
 
 
-def _shift_table(grid: Grid, s: float) -> np.ndarray:
-    """exp(-i k s), the shift by s, laid out as _derivative_factor."""
-    return np.repeat(np.exp(-1j * s * np.arange(grid.n // 2 + 1))[None, :], grid.n, axis=0)
-
-
 @lru_cache(maxsize=8)
-def _shift_factor(grid: Grid, s: float) -> np.ndarray:
-    """_shift_table, cached for spectral_shift."""
-    arr = _shift_table(grid, s)
+def _multiplier_matrix(grid: Grid, multiplier: tuple[str, float]) -> np.ndarray:
+    """M with v @ M the multiplier applied to a row v: the transform kernel
+    applied to the identity, with the table uncached, as this is its only reader."""
+    table = _multiplier_table.__wrapped__(grid, multiplier)
+    arr = _transform_kernel(grid, np.eye(grid.n), "y", table, None, None)
     arr.setflags(write=False)
     return arr
 
 
-def _apply_multiplier(grid: Grid, f: np.ndarray, axis: str, factor: np.ndarray,
+def _transform_kernel(grid: Grid, f: np.ndarray, axis: str, table: np.ndarray,
                       out: np.ndarray | None, coeffs: np.ndarray | None) -> np.ndarray:
-    """irfft(factor * rfft(f)) along 'x' or 'y': the one 1D multiplier routine.
+    """irfft(table * rfft(f)) along 'x' or 'y'.
 
     The transform is laid out (..., n, n/2+1), wavenumber last, along either
-    axis (transposed along x), so one full (n, n/2+1) factor serves both and
+    axis (transposed along x), so one full (n, n/2+1) table serves both and
     is multiplied plane by plane: no operand is broadcast, and numpy makes no
     iterator buffer.
     """
+    if coeffs is None:
+        coeffs = np.empty(f.shape[:-1] + table.shape[-1:], dtype=complex)
+    along = -2 if axis == "x" else -1
+    F = np.fft.rfft(f, axis=along, out=coeffs if axis == "y" else coeffs.swapaxes(-1, -2))
+    for plane in coeffs.reshape((-1,) + table.shape):
+        plane *= table
+    return np.fft.irfft(F, n=grid.n, axis=along, out=out)
+
+
+def _apply_multiplier(grid: Grid, f: np.ndarray, axis: str, multiplier: tuple[str, float],
+                      out: np.ndarray | None, coeffs: np.ndarray | None) -> np.ndarray:
+    """The one 1D multiplier routine, along 'x' or 'y'.
+
+    Above n^3 = MATRIX_KERNEL_MAX_CUBE it is _transform_kernel with the
+    cached table; up to it, one product by the cached matrix M: M.T @ f along
+    x, f @ M along y, and the adjoint M(s).T for a shift by -s.  Each plane
+    is multiplied relative to its first entry, into the float view of coeffs,
+    and the multiplier's k = 0 value (1 for a shift, 0 for a derivative)
+    times that entry is added back: a uniform plane is shifted exactly and
+    differentiated to exactly 0."""
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     f = grid.check_field(f)
-    if coeffs is None:
-        coeffs = np.empty(f.shape[:-1] + factor.shape[-1:], dtype=complex)
-    along = -2 if axis == "x" else -1
-    F = np.fft.rfft(f, axis=along, out=coeffs if axis == "y" else coeffs.swapaxes(-1, -2))
-    for plane in coeffs.reshape((-1,) + factor.shape):
-        plane *= factor
-    return np.fft.irfft(F, n=grid.n, axis=along, out=out)
+    if grid.n ** 3 > MATRIX_KERNEL_MAX_CUBE:
+        return _transform_kernel(grid, f, axis, _multiplier_table(grid, multiplier), out, coeffs)
+    kind, value = multiplier
+    if kind == "shift" and value < 0:
+        mat = _multiplier_matrix(grid, (kind, -value)).T
+    else:
+        mat = _multiplier_matrix(grid, multiplier)
+    rel = (np.empty(f.shape) if coeffs is None
+           else coeffs.reshape(-1).view(float)[:f.size].reshape(f.shape))
+    n = grid.n
+    offsets = f[..., 0, 0].ravel().tolist()
+    for plane, r, dst in zip(f.reshape(-1, n, n), offsets, rel.reshape(-1, n, n)):
+        np.subtract(plane, r, out=dst)
+    out = np.matmul(mat.T, rel, out=out) if axis == "x" else np.matmul(rel, mat, out=out)
+    if kind == "shift":
+        for plane, r in zip(out.reshape(-1, n, n), offsets):
+            plane += r
+    return out
 
 
 def spectral_derivative(grid: Grid, f: np.ndarray, axis: str, order: int = 1,
@@ -187,19 +231,17 @@ def spectral_derivative(grid: Grid, f: np.ndarray, axis: str, order: int = 1,
                         coeffs: np.ndarray | None = None) -> np.ndarray:
     """Derivative of given order along 'x' or 'y' via (i k)^order multipliers.
 
-    The multiplier depends on one wavenumber only, so one real 1D transform
-    along that axis and its inverse do the work of a 2D pair; f may be a
-    (..., n, n) stack.  The inverse real transform keeps only the real part
-    of the Nyquist coefficient k = n/2, so odd orders drop that mode and the
-    derivative of a real field stays real.
-
-    out, when given, receives the derivative (the shape of f), and coeffs,
-    when given, the transform: a C-contiguous complex (..., n, n/2+1)
-    buffer, overwritten.
+    The multiplier depends on one wavenumber only, so it is a 1D operator
+    along that axis; f may be a (..., n, n) stack.  The inverse real
+    transform keeps only the real part of the Nyquist coefficient k = n/2,
+    so odd orders drop that mode and the derivative of a real field stays
+    real.  out, when given, receives the derivative (the shape of f), and
+    coeffs, a C-contiguous complex (..., n, n/2+1) buffer, is overwritten
+    with the transform or, as floats, the matrix kernel's product buffer.
     """
     if order < 1 or int(order) != order:
         raise ValueError(f"derivative order must be a positive integer, got {order}")
-    return _apply_multiplier(grid, f, axis, _derivative_factor(grid, int(order)), out, coeffs)
+    return _apply_multiplier(grid, f, axis, ("derivative", int(order)), out, coeffs)
 
 
 def spectral_shift(grid: Grid, f: np.ndarray, axis: str, s: float,
@@ -209,10 +251,11 @@ def spectral_shift(grid: Grid, f: np.ndarray, axis: str, s: float,
 
     The inverse real transform keeps only the real part of the Nyquist
     coefficient, so that mode is scaled by cos(k s), as the real part of a
-    complex inverse would be.  The table is cached per (grid, s); out (which
-    may be f) and coeffs are as for spectral_derivative.
+    complex inverse would be.  The table or matrix is cached per (grid, s);
+    out (which may be f, and is C-contiguous if it has more than three
+    axes) and coeffs are as for spectral_derivative.
     """
-    return _apply_multiplier(grid, f, axis, _shift_factor(grid, s), out, coeffs)
+    return _apply_multiplier(grid, f, axis, ("shift", s), out, coeffs)
 
 
 @lru_cache(maxsize=8)

@@ -33,15 +33,11 @@ receives it itself with the run's moments w, both valid until the callback
 returns.  So the loop allocates nothing of state size, and a caller copies what it keeps.
 
 Transport moves f_1 and f_3 along x and f_2 and f_4 along y, and f_5 not at
-all, so spectral transport is a 1D shift along each mover's axis of motion:
-``grid.spectral_shift`` by s, or by -s for negative speed.  Up to n = 64
-(``SHIFT_MATRIX_MAX_CUBE``) the shift is a real n-by-n matrix M, made once
-per (grid, s) by shifting the identity, and each mover is one matrix product
-into the scratch: M.T @ f_i along x, f_i @ M along y, and M(-s) = M(s).T
-for negative speed.  Each plane is moved relative to its first entry, so a
-uniform plane, and with it a uniform equilibrium, stays exactly unchanged.
-At n = 64 the product takes half the time of the transforms.  Above n = 64
-each mover is one ``spectral_shift`` through the scratch's transform buffer.
+all, so spectral transport is one ``grid.spectral_shift`` per mover along its
+axis of motion, by s, or by -s for negative speed, through the scratch's
+transform buffer.  ``grid`` picks the kernel of shifts and derivatives by
+grid size (``grid.MATRIX_KERNEL_MAX_CUBE``), and either kernel moves a
+uniform plane, and with it a uniform equilibrium, exactly unchanged.
 
 At dt = c * tau*eps^2 the commutator is not small in eps: the linearized
 cycle relaxes like the continuous model with tau replaced by
@@ -56,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,61 +107,11 @@ class SolverConfig:
 _MOVERS = [(-2 if dx else -1, dx + dy) for dx, dy in VELOCITY_DIRECTIONS[:4].astype(int)]
 
 
-#: largest n^3 at which spectral transport is a shift-matrix product.  OpenBLAS
-#: runs a dgemm on the calling thread while m*n*k <= 65536 *
-#: GEMM_MULTITHREAD_THRESHOLD (4 by default), and one n-by-n plane at n = 64 is
-#: exactly 2^18.  Above it the product would start BLAS threads, which
-#: spin-wait: on 2 vCPU, a 4-member spectral sweep at n = 128 with the product
-#: took 1.4-14.9 s unpinned against 0.50-0.56 s with OPENBLAS_NUM_THREADS=1.
-#: Single-threaded, the FFT kernel wins again above n of about 160.  The limit
-#: is unverified on MKL and Accelerate builds of numpy.
-SHIFT_MATRIX_MAX_CUBE = 2 ** 18
-
-
-@lru_cache(maxsize=4)
-def _shift_matrix(grid: gridmod.Grid, s: float) -> np.ndarray:
-    """M with v @ M the spectral shift of a row v by +s; M(-s) = M(s).T.
-
-    Row j is the shift of the unit vector e_j by the multiplier routine of
-    ``grid.spectral_shift``, so both spectral kernels apply one operator.
-    The table is built uncached: this build is its only reader.
-    """
-    table = gridmod._shift_table(grid, s)
-    arr = gridmod._apply_multiplier(grid, np.eye(grid.n), "y", table, None, None)
-    arr.setflags(write=False)
-    return arr
-
-
 def _transport_spectral(st: KineticState, dt: float) -> None:
     s = st.params.lam * dt / st.params.epsilon
-    if st.grid.n ** 3 <= SHIFT_MATRIX_MAX_CUBE:
-        _transport_matmul(st, s)
-        return
     coeffs = gridmod.scratch(st.grid).coeffs
     for f_i, (axis, sign) in zip(st.f, _MOVERS):
         gridmod.spectral_shift(st.grid, f_i, "xy"[axis], sign * s, out=f_i, coeffs=coeffs)
-
-
-def _transport_matmul(st: KineticState, s: float) -> None:
-    """Spectral transport as one shift-matrix product per mover.
-
-    M.T @ f_i along x and f_i @ M along y.  Each plane is moved relative to
-    its first entry, which is added back on the way out, so a uniform plane
-    stays exactly uniform.
-    """
-    M = _shift_matrix(st.grid, s)
-    moved = gridmod.scratch(st.grid).field
-    for f_i, (axis, sign) in zip(st.f, _MOVERS):
-        mat = M if sign > 0 else M.T
-        offsets = [float(plane[0, 0]) for plane in f_i]
-        for plane, r in zip(f_i, offsets):
-            plane -= r
-        if axis == -2:
-            np.matmul(mat.T, f_i, out=moved)
-        else:
-            np.matmul(f_i, mat, out=moved)
-        for plane, out, r in zip(moved, f_i, offsets):
-            np.add(plane, r, out=out)
 
 
 def _transport_upwind(st: KineticState, dt: float) -> None:

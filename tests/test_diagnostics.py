@@ -388,6 +388,25 @@ def test_pressure_pairings_of_taylor_green(grid32, t):
     assert np.max(np.abs(got - [-decay / 8, -decay / 8, 0.0])) < 1e-15
 
 
+def test_warm_pairings_and_records_evaluate_no_test_function(monkeypatch):
+    # the factors a(x), b(y) and their derivatives are made once per grid
+    g = Grid(16)
+    p = make_params(0.05, 0.25, 3.0, 1.0, 1.0)
+    u_ref = taylor_green_velocity(g, 0.3, p.nu)
+    state = initial_kinetic_state(g, u_ref, p)
+    p_ref = pressure_pairings(g, u_ref)
+    first = compute_record(state, state.w(), u_ref, p_ref, 1.0, 0.0)
+    calls = []
+    for name in ("cos", "sin"):
+        def counting(*args, _wave=getattr(np, name), **kwargs):
+            calls.append(_wave)
+            return _wave(*args, **kwargs)
+        monkeypatch.setattr(np, name, counting)
+    assert np.array_equal(pressure_pairings(g, u_ref), p_ref)
+    assert compute_record(state, state.w(), u_ref, p_ref, 1.0, 0.0) == first
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # entropy surrogate and bound functional
 # ---------------------------------------------------------------------------

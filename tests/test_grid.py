@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vbgk import grid as gridmod
 from vbgk.errors import DimensionMismatch
 from vbgk.grid import (Grid, l2_norm, linf_norm, sobolev_norm, spectral_derivative,
                        spectral_shift)
@@ -95,6 +98,75 @@ def test_shift_by_grid_points_is_a_roll_and_minus_s_undoes_s(axis):
     s = 0.37 * g.dx
     back = spectral_shift(g, spectral_shift(g, f, axis, s), axis, -s)
     assert np.max(np.abs(back - f)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the matrix kernel of 1D multipliers (n <= 64) against the transform kernel
+# ---------------------------------------------------------------------------
+
+MULTIPLIERS = [("derivative", 1), ("derivative", 2), ("shift", 0.37), ("shift", -0.37)]
+
+
+def apply_multiplier(g, f, axis, multiplier, **kwargs):
+    kind, value = multiplier
+    if kind == "shift":
+        return spectral_shift(g, f, axis, value, **kwargs)
+    return spectral_derivative(g, f, axis, value, **kwargs)
+
+
+kernel_cases = pytest.mark.parametrize("n, axis, multiplier", [
+    (n, axis, m) for n in (16, 64) for axis in "xy" for m in MULTIPLIERS])
+
+
+@kernel_cases
+def test_matrix_kernel_matches_transform_kernel(n, axis, multiplier):
+    g = Grid(n)
+    assert n ** 3 <= gridmod.MATRIX_KERNEL_MAX_CUBE
+    f = np.random.default_rng(n).standard_normal((3, n, n))
+    table = gridmod._multiplier_table(g, multiplier)
+    want = gridmod._transform_kernel(g, f, axis, table, None, None)
+    got = apply_multiplier(g, f, axis, multiplier)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@kernel_cases
+def test_matrix_kernel_keeps_uniform_planes_exactly(n, axis, multiplier):
+    g = Grid(n)
+    f = np.broadcast_to(np.array([0.3, -1.7, 2.9])[:, None, None], (3, n, n)).copy()
+    got = apply_multiplier(g, f, axis, multiplier)
+    if multiplier[0] == "shift":
+        assert np.array_equal(got, f)
+    else:
+        assert np.all(got == 0.0)
+
+
+@kernel_cases
+def test_matrix_kernel_out_may_be_f_and_reads_f_only(n, axis, multiplier):
+    g = Grid(n)
+    f = np.random.default_rng(n + 1).standard_normal((3, n, n))
+    before = f.copy()
+    coeffs = np.empty((3, n, n // 2 + 1), dtype=complex)
+    out = np.empty_like(f)
+    apply_multiplier(g, f, axis, multiplier, out=out, coeffs=coeffs)
+    assert np.array_equal(f, before)
+    apply_multiplier(g, f, axis, multiplier, out=f, coeffs=coeffs)
+    assert np.array_equal(f, out)
+
+
+@kernel_cases
+def test_matrix_kernel_allocates_nothing_of_field_size(n, axis, multiplier):
+    g = Grid(n)
+    f = np.random.default_rng(n + 2).standard_normal((3, n, n))
+    coeffs = np.empty((3, n, n // 2 + 1), dtype=complex)
+    out = np.empty_like(f)
+    apply_multiplier(g, f, axis, multiplier, out=out, coeffs=coeffs)
+    tracemalloc.start()
+    try:
+        apply_multiplier(g, f, axis, multiplier, out=out, coeffs=coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
 
 
 def test_norm_of_constant(grid32):

@@ -100,7 +100,7 @@ def reference_spectral_transport(state, dt):
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
 def test_spectral_transport_nyquist_mode(n):
-    # n = 64 and 128 sit on either side of the shift-matrix limit
+    # n = 64 and 128 sit on either side of grid.MATRIX_KERNEL_MAX_CUBE
     # energy in the k = n/2 mode along both axes and a shift between grid points
     g = Grid(n)
     p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
@@ -145,27 +145,35 @@ def test_shift_matrix_only_where_gemm_stays_on_the_calling_thread(monkeypatch, n
     monkeypatch.setattr(np, "matmul", counting_matmul)
     g = Grid(n)
     p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
-    transport_step(random_state(g, p, 3), 0.37 * g.dx * p.epsilon / p.lam)
-    # one product per mover at n = 64; above, a product would start BLAS threads
-    assert len(calls) == (4 if n ** 3 <= kinetic.SHIFT_MATRIX_MAX_CUBE else 0)
+    state = random_state(g, p, 3)
+    # one product per mover, or per derivative, at n = 64; above, a product
+    # would start BLAS threads
+    products = 1 if n ** 3 <= gridmod.MATRIX_KERNEL_MAX_CUBE else 0
+    transport_step(state, 0.37 * g.dx * p.epsilon / p.lam)
+    assert len(calls) == 4 * products
+    gridmod.spectral_derivative(g, state.f[0], "x")
+    assert len(calls) == 5 * products
 
 
 @pytest.mark.parametrize("s", [0.37, -1.1])
 def test_shift_matrix_is_the_spectral_shift_of_the_identity(s):
     g = Grid(64)
-    expected = gridmod.spectral_shift(g, np.eye(g.n), "y", s)
-    assert np.array_equal(kinetic._shift_matrix(g, s), expected)
+    table = gridmod._multiplier_table(g, ("shift", s))
+    expected = gridmod._transform_kernel(g, np.eye(g.n), "y", table, None, None)
+    assert np.array_equal(gridmod._multiplier_matrix(g, ("shift", s)), expected)
 
 
 def test_shift_matrix_build_leaves_no_cached_shift_table():
-    # the exp(-i k s) table of a matrix is read once, by its build
-    gridmod._shift_factor.cache_clear()
-    kinetic._shift_matrix.cache_clear()
+    # the exp(-i k s) table of a matrix is read once, by its build; the
+    # state is made first, since its gradient takes a derivative matrix
     g = Grid(64)
     p = make_params(0.1, 1.0, 2.0, 0.01, 1.0)
-    run(taylor_green_state(g, p), SolverConfig(t_end=0.0105, transport_mode="spectral"))
-    assert kinetic._shift_matrix.cache_info().currsize == 2  # full and final step
-    assert gridmod._shift_factor.cache_info().currsize == 0
+    state = taylor_green_state(g, p)
+    gridmod._multiplier_table.cache_clear()
+    gridmod._multiplier_matrix.cache_clear()
+    run(state, SolverConfig(t_end=0.0105, transport_mode="spectral"))
+    assert gridmod._multiplier_matrix.cache_info().currsize == 2  # full and final step
+    assert gridmod._multiplier_table.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("mode, n", [("upwind", 64), ("upwind", 128), ("spectral", 64),
@@ -189,10 +197,16 @@ def test_transport_kernel_allocates_no_iterator_buffer(mode, n):
 
 def test_kinetic_applies_no_fourier_multiplier_of_its_own():
     # spectral transport goes through grid.spectral_shift, the one routine for
-    # 1D multipliers; any np.fft / numpy.fft use here would be a second one
+    # 1D multipliers and the only one that picks their kernel; any np.fft /
+    # numpy.fft use, matrix product or read of a grid private here would be a
+    # second one
     tree = ast.parse(Path(kinetic.__file__).read_text())
     uses = [ast.unparse(node) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "fft"
+            if isinstance(node, ast.Attribute) and node.attr in ("fft", "matmul")
+            or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "gridmod" and node.attr.startswith("_")
+            or isinstance(node, ast.Name) and node.id == "matmul"
+            or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
             or isinstance(node, (ast.Import, ast.ImportFrom)) and "fft" in ast.unparse(node)]
     assert uses == []
 
