@@ -27,10 +27,11 @@ record needs no more of the pressure, so no pressure field is made and the
 child sends 2 n^2 + 3 floats per record.  ``vbgk reference`` steps the same
 ReferenceTrajectory and writes the pressure field itself.  A run reads
 record k with ``next`` and checks that t equals its own record time
-exactly.  On Taylor-Green data the run iterates the stream in-process;
-on any other data it wraps it in a ``ForkedChannel``, so the reference
-overlaps the kinetic steps and records instead of adding to them.  The fork
-comes just before ``kinetic.run``, after the run's other set-up: in a
+exactly.  A reference with a flow that moves, one with vorticity, comes
+from a ``ForkedChannel``, so it overlaps the kinetic steps and records
+instead of adding to them; the closed form of Taylor-Green data and a flow
+without vorticity, as on zero data, step nothing and run in-process.  The
+fork comes just before ``kinetic.run``, after the run's other set-up: in a
 prototype that forked at the start of ``run_simulation``, the child's work
 competed with the parent's set-up, which took 8-24% longer on 2 vCPU.
 A record reads the state and moments that ``kinetic.run`` hands to on_record
@@ -252,32 +253,22 @@ def validated(cfg: RunConfig) -> ValidationReport:
 class ReferenceTrajectory:
     """Reference velocity (2, n, n) evaluated at increasing times.
 
-    Taylor-Green data uses the closed form (zero reference error).  Every
-    other source, zero data included, advances the pseudo-spectral solver
-    from u0, the initial velocity the caller has read and checked, between
-    requested times.  The flow stays in vorticity coefficients from one
-    request to the next; a request that steps converts it to velocity once,
-    into the flow's workspace, and a time within 1e-14 of the last one
-    (t = 0 at first) gets the last velocity again, so t = 0 gives u0.  The
-    velocity of a stepped flow is the flow's buffer, valid until the next
-    request.
+    Taylor-Green data uses the closed form (zero reference error) and has no
+    flow.  Every other source has ``flow``, the VorticityFlow of u0, the
+    initial velocity the caller has read and checked, which steps itself to
+    each requested time (``VorticityFlow.at``); its velocity is valid until
+    the next request.
     """
 
     def __init__(self, cfg: RunConfig, grid: Grid, u0: np.ndarray):
-        self._cfg = cfg
-        self.grid = grid
-        if cfg.initial_data != "taylor_green":
-            self._u = u0
-            self._flow = navier_stokes.VorticityFlow(grid, u0, cfg.nu, 0.0)
-            u_max = max(float(np.max(np.abs(u0))), 1e-8)
-            self._dt_max = min(1e-3, 0.25 * grid.dx / u_max)
+        self.grid, self.nu = grid, cfg.nu
+        self.flow = (None if cfg.initial_data == "taylor_green"
+                     else navier_stokes.VorticityFlow(grid, u0, cfg.nu, 0.0))
 
     def at(self, t: float) -> np.ndarray:
-        if self._cfg.initial_data == "taylor_green":
-            return navier_stokes.taylor_green_velocity(self.grid, t, self._cfg.nu)
-        if self._flow.advance(t, self._dt_max):
-            self._u = self._flow.velocity()
-        return self._u
+        if self.flow is None:
+            return navier_stokes.taylor_green_velocity(self.grid, t, self.nu)
+        return self.flow.at(t)
 
 
 class ForkedChannel:
@@ -398,15 +389,16 @@ def run_simulation(cfg: RunConfig, report: ValidationReport | None = None,
     yet reached; times that one record takes share its file, with a warning
     on stderr.  A write failure ends the run with its ConfigError.
     The reference records come from _reference_records, stepped by a forked
-    child (ForkedChannel) on any data but Taylor-Green; the child is reaped
-    before this returns or raises.
+    child (ForkedChannel) when the reference has a flow that moves; the
+    child is reaped before this returns or raises.
     """
     report = validated(cfg) if report is None else report
     params, grid, u0 = report.params, report.grid, report.u0
     state0 = model.initial_kinetic_state(grid, u0, params)
     times = kinetic.record_times(report.solver, params, grid.dx)
-    refs = _reference_records(ReferenceTrajectory(cfg, grid, u0), times)
-    if cfg.initial_data != "taylor_green":
+    reference = ReferenceTrajectory(cfg, grid, u0)
+    refs = _reference_records(reference, times)
+    if reference.flow is not None and reference.flow.moves:
         refs = ForkedChannel(refs)
 
     records: list[diag.DiagnosticsRecord] = []

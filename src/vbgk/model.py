@@ -253,25 +253,20 @@ def flux_jacobian(j: int, w_points: np.ndarray, params: ModelParams) -> np.ndarr
     if j not in (1, 2):
         raise ValueError(f"flux index must be 1 or 2, got {j}")
     w_points = np.asarray(w_points, dtype=float).reshape(-1, 3)
+    if j == 2:
+        # A_2 is A_1 with q1 and q2 swapped, in the state and in the rows and columns
+        swap = [0, 2, 1]
+        return flux_jacobian(1, w_points[:, swap], params)[:, swap][:, :, swap]
     rho, q1, q2 = w_points[:, 0], w_points[:, 1], w_points[:, 2]
     check_density(rho)
     dp = pressure_derivative(rho, params)
-    n = w_points.shape[0]
-    jac = np.zeros((n, 3, 3))
-    if j == 1:
-        jac[:, 0, 1] = 1.0
-        jac[:, 1, 0] = dp - q1 ** 2 / rho ** 2
-        jac[:, 1, 1] = 2.0 * q1 / rho
-        jac[:, 2, 0] = -q1 * q2 / rho ** 2
-        jac[:, 2, 1] = q2 / rho
-        jac[:, 2, 2] = q1 / rho
-    else:
-        jac[:, 0, 2] = 1.0
-        jac[:, 1, 0] = -q1 * q2 / rho ** 2
-        jac[:, 1, 1] = q2 / rho
-        jac[:, 1, 2] = q1 / rho
-        jac[:, 2, 0] = dp - q2 ** 2 / rho ** 2
-        jac[:, 2, 2] = 2.0 * q2 / rho
+    jac = np.zeros((w_points.shape[0], 3, 3))
+    jac[:, 0, 1] = 1.0
+    jac[:, 1, 0] = dp - q1 ** 2 / rho ** 2
+    jac[:, 1, 1] = 2.0 * q1 / rho
+    jac[:, 2, 0] = -q1 * q2 / rho ** 2
+    jac[:, 2, 1] = q2 / rho
+    jac[:, 2, 2] = q1 / rho
     return jac
 
 

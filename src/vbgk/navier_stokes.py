@@ -11,19 +11,19 @@ Two paths are provided:
 The solver works on real-transform (``rfft2``) coefficients, laid out
 (n, n/2 + 1).  A VorticityFlow holds the vorticity coefficients
 w_hat = i kx u2_hat - i ky u1_hat, the mean velocity U, the time and one
-workspace (``_Workspace``), made at its first step or velocity: every
-buffer its substeps and its velocity need.  Its substeps run in
-``_evolve``, the one time-stepping kernel, which writes each stage
-combination in place and allocates no array of field size; ``velocity()``
-forms the velocity
+workspace (``_Workspace``), made at its first step or velocity: every buffer
+its substeps and its velocity need.  Its substeps run in ``_evolve``, the one
+time-stepping kernel, which writes each stage combination in place and
+allocates no array of field size; ``velocity()`` forms the velocity
 (2, n, n) with one stacked inverse transform into the workspace, so the
 array it returns is valid until its next call.  Velocities pass between
 functions as plain (2, n, n) arrays; only NsState, the state that ns_step
-takes and returns, runs a divergence check.  The driver's
-ReferenceTrajectory keeps a VorticityFlow from one record to the next, so a
-record converts only vorticity to velocity.  How the driver hands the
-records to a run, in-process or from a forked child, is in the ``driver``
-docstring; nothing in this module depends on which process runs it.
+takes and returns, runs a divergence check.  ``VorticityFlow.at`` steps a
+flow to a requested time in substeps bounded by its start velocity; the
+driver's ReferenceTrajectory keeps one flow for all of a run's records, so a
+record converts only vorticity to velocity.  How the driver hands the records
+to a run, in-process or from a forked child, is in the ``driver`` docstring;
+nothing in this module depends on which process runs it.
 
 Each RK4 stage takes one stacked inverse transform of (u1, u2, dw/dx, dw/dy)
 and one forward transform of the advection product, both into the
@@ -264,7 +264,9 @@ class VorticityFlow:
     workspace (``_Workspace``).
 
     The workspace is made at the flow's first step or velocity, so a process
-    that forks after making a flow has neither allocated nor touched it.
+    that forks after making a flow has neither allocated nor touched it.  A
+    flow whose w_hat is all zero does not move: it is its mean velocity, the
+    start velocity u, at every time.
     """
 
     def __init__(self, grid: Grid, u: np.ndarray, nu: float, t: float):
@@ -274,7 +276,12 @@ class VorticityFlow:
         self.mean = tuple(float(c) for c in u_hat[:, 0, 0].real / grid.n ** 2)
         tab = _tables(grid)
         self.w_hat = tab.ikx * u_hat[1] - tab.iky * u_hat[0]
+        self.moves = bool(self.w_hat.any())
         self._ws = None
+        self._u = u
+        # substeps at advective CFL <= 0.25 of the start velocity
+        u_max = max(float(np.max(np.abs(u))), 1e-8)
+        self._dt_max = min(1e-3, 0.25 * grid.dx / u_max)
 
     def _workspace(self) -> _Workspace:
         if self._ws is None:
@@ -289,20 +296,24 @@ class VorticityFlow:
         ws.spare, self.w_hat = self.w_hat, w_hat
         self.t = t
 
-    def advance(self, t_target: float, dt_max: float) -> bool:
-        """Step to exactly t_target using uniform substeps no larger than dt_max.
+    def at(self, t: float) -> np.ndarray:
+        """The velocity (2, n, n) at time t, stepped from the last time in
+        uniform substeps no larger than _dt_max.
 
-        Returns False, and leaves the flow alone, when t_target is within
-        1e-14 of t.
+        A time within 1e-14 of the last one gets the last velocity again: the
+        start velocity until the first step, after it the workspace's buffer,
+        valid until the next step.  A flow without vorticity only moves t.
         """
-        gap = t_target - self.t
+        gap = t - self.t
         if gap < -1e-12:
-            raise ValueError(f"cannot step backwards from t={self.t} to {t_target}")
-        if gap <= 1e-14:
-            return False
-        n_sub = max(1, int(np.ceil(gap / dt_max - 1e-12)))
-        self.evolve(gap / n_sub, n_sub, t_target)
-        return True
+            raise ValueError(f"cannot step backwards from t={self.t} to {t}")
+        if gap > 1e-14:
+            if self.moves:
+                n_sub = max(1, int(np.ceil(gap / self._dt_max - 1e-12)))
+                self.evolve(gap / n_sub, n_sub, t)
+                self._u = self.velocity()
+            self.t = t
+        return self._u
 
     def velocity(self) -> np.ndarray:
         """The velocity (2, n, n) at time t, in the workspace: valid until

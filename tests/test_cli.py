@@ -396,7 +396,7 @@ def test_reference_requests_run_no_divergence_check(tmp_path, monkeypatch):
         assert u.shape == (2, 32, 32)
         assert np.max(np.abs(u - exact)) < 1e-12
         monkeypatch.undo()
-    assert reference._flow.t == 0.0035  # the file reference's flow
+    assert reference.flow.t == 0.0035  # the file reference's flow
 
 
 def test_sweep_invalid_member_fails_before_any_run(tmp_path, monkeypatch):

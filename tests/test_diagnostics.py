@@ -20,28 +20,7 @@ from vbgk.kinetic import relaxation_step
 from vbgk.model import KineticState, fluxes, initial_kinetic_state, make_params, maxwellians
 from vbgk.navier_stokes import pressure_from_velocity, taylor_green_velocity
 
-from conftest import random_field
-
-
-def equilibrium_state(grid, params, rho=None):
-    rho = params.rho_bar if rho is None else rho
-    w = np.stack([np.full((grid.n, grid.n), rho),
-                  np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n))])
-    return KineticState(grid, params, maxwellians(w, params))
-
-
-def random_state(grid, params, seed):
-    f = np.empty((5, 3, grid.n, grid.n))
-    for i in range(5):
-        for c in range(3):
-            f[i, c] = 0.05 * random_field(seed + 10 * i + c, grid.n)
-    f[:, 0] += 0.3
-    return KineticState(grid, params, f)
-
-
-def taylor_green_state(grid, params):
-    u = taylor_green_velocity(grid, 0.0, params.nu)
-    return initial_kinetic_state(grid, u, params)
+from conftest import equilibrium_state, random_field, random_state, taylor_green_state
 
 
 def density_velocity(w, params):

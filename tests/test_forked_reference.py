@@ -157,14 +157,27 @@ def test_file_data_records_byte_identical_to_serial_reference(tmp_path, monkeypa
     assert len(forked.splitlines()) == 13  # header and 12 records
 
 
-def test_taylor_green_run_forks_no_process(tmp_path, monkeypatch):
-    def no_fork():
-        raise AssertionError("a Taylor-Green run forked")
+@pytest.mark.parametrize("source", ["taylor_green", "zero", "file"])
+def test_only_a_moving_reference_forks(tmp_path, monkeypatch, source):
+    # the closed form and a flow without vorticity run in-process; file data
+    # steps its reference in one forked child, reaped before the run returns
+    fork, forks = os.fork, []
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    cfg_path = tmp_path / "tg.cfg"
-    cfg_path.write_text(BASE)
+    def patched():
+        if source != "file":
+            raise AssertionError(f"a run on {source} data forked")
+        forks.append(source)
+        return fork()
+
+    if source == "file":
+        cfg_path, _ = file_config(tmp_path)
+    else:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(BASE + f"initial_data = {source}\n")
+    monkeypatch.setattr(os, "fork", patched)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(forks) == (source == "file")
+    assert_no_child_process()
 
 
 def raise_cfl_at_call(monkeypatch, k):

@@ -21,31 +21,10 @@ from vbgk.kinetic import (
     strang_step,
     transport_step,
 )
-from vbgk.model import KineticState, initial_kinetic_state, make_params, maxwellians
-from vbgk.navier_stokes import taylor_green, taylor_green_velocity
+from vbgk.model import KineticState, make_params, maxwellians
+from vbgk.navier_stokes import taylor_green_velocity
 
-from conftest import random_field
-
-
-def equilibrium_state(grid, params, rho=1.0):
-    w = np.stack([np.full((grid.n, grid.n), rho),
-                  np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n))])
-    return KineticState(grid, params, maxwellians(w, params))
-
-
-def random_state(grid, params, seed):
-    rng = np.random.default_rng(seed)
-    f = np.empty((5, 3, grid.n, grid.n))
-    for i in range(5):
-        for c in range(3):
-            f[i, c] = 0.05 * random_field(seed + 10 * i + c, grid.n)
-    f[:, 0] += 0.3  # keep projected density positive
-    return KineticState(grid, params, f)
-
-
-def taylor_green_state(grid, params):
-    tg, _ = taylor_green(grid, 0.0, params.nu)
-    return initial_kinetic_state(grid, np.stack([tg.u1, tg.u2]), params)
+from conftest import equilibrium_state, random_field, random_state, taylor_green_state
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ def phi_fields(g):
 def advanced(state, t_target, dt_max):
     """state stepped to t_target in uniform substeps no larger than dt_max."""
     flow = VorticityFlow(state.grid, velocity(state), state.nu, state.t)
-    flow.advance(t_target, dt_max)
-    u = flow.velocity()
+    flow._dt_max = dt_max
+    u = flow.at(t_target)
     return NsState(state.grid, u[0], u[1], flow.t, state.nu)
 
 
@@ -209,7 +209,7 @@ def test_reference_trajectory_matches_round_trip_chain(n):
     times = [float(t) for t in np.linspace(0.0, 0.03, 12)[1:]]
     for t, (u, pairings) in driver._reference_records(reference, times):
         chain = advanced(chain, t, dt_max)
-        assert reference._flow.t == chain.t == t
+        assert reference.flow.t == chain.t == t
         assert relative_error(u[0], chain.u1) < 1e-12
         assert relative_error(u[1], chain.u2) < 1e-12
         p = pressure_from_velocity(g, velocity(chain))
@@ -225,11 +225,11 @@ def test_reference_trajectory_cfl_guard(grid32):
     s = smooth_div_free_state(grid32, 5)
     reference = file_reference(grid32, s)
     reference.at(1e-3)
-    bound, reference._dt_max = reference._dt_max, 2.0 * grid32.dx
+    bound, reference.flow._dt_max = reference.flow._dt_max, 2.0 * grid32.dx
     with pytest.raises(CflViolation):
         reference.at(1e-3 + 4.0 * grid32.dx)
     # the failed request left the flow where it was
-    reference._dt_max = bound
+    reference.flow._dt_max = bound
     u = reference.at(2e-3)
     fresh = file_reference(grid32, s)
     fresh.at(1e-3)
@@ -242,6 +242,31 @@ def test_reference_trajectory_rejects_going_backwards(grid32):
     reference.at(0.01)
     with pytest.raises(ValueError, match="backwards"):
         reference.at(0.005)
+
+
+@pytest.mark.parametrize("source", ["zero", "uniform"])
+def test_a_flow_without_vorticity_never_steps(grid32, monkeypatch, source):
+    # zero data and a uniform flow have no vorticity: the reference hands out
+    # its start velocity at every time, never steps, and still keeps its time
+    def no_step(*args):
+        raise AssertionError("a flow without vorticity stepped")
+
+    monkeypatch.setattr(navier_stokes, "_evolve", no_step)
+    if source == "zero":
+        cfg = RunConfig(epsilon=0.1, tau=1.0, lam=2.0, nu=0.01, rho_bar=1.0, n=32,
+                        t_end=1.0, initial_data="zero")
+        want = np.zeros((2, 32, 32))
+        reference = driver.ReferenceTrajectory(cfg, grid32,
+                                               driver.initial_velocity(cfg, grid32))
+    else:
+        want = np.stack([np.full((32, 32), 0.3), np.full((32, 32), -0.7)])
+        reference = file_reference(grid32, NsState(grid32, *want.copy(), 0.0, 0.01))
+    assert not reference.flow.moves
+    for t in (0.0, 1e-3, 1e-3, 0.37, 2.5):
+        assert same_bits(reference.at(t), want)
+        assert reference.flow.t == t
+    with pytest.raises(ValueError, match="backwards"):
+        reference.at(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,5 +367,5 @@ def test_a_warm_reference_request_allocates_less_than_one_coefficient_array(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert reference._flow.t == times[2] and u.shape == (2, n, n)
+    assert reference.flow.t == times[2] and u.shape == (2, n, n)
     assert peak < n * (n // 2 + 1) * 16
